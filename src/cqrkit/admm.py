@@ -40,9 +40,10 @@ from .core import (
     PenaltySpec,
     QuantileLevels,
     SolverOptions,
-    adaptive_weights,
     objective,
+    penalty_terms,
     soft_threshold,
+    stacked_gram,
 )
 
 __all__ = ["AdmmState", "fit_admm", "penalized_ls", "admm_stopping"]
@@ -199,23 +200,13 @@ def fit_admm(data: Dataset, levels: QuantileLevels,
     d = K + p
 
     penalized = penalty.regularized
+    weights, active = penalty_terms(penalty, p)
     if penalized:
-        weights, active = adaptive_weights(penalty.pilot)
-        if weights.size != p:
-            raise ValueError(f"pilot length {weights.size} does not match p={p}")
         full_active = np.concatenate([np.ones(K, dtype=bool), active])
         thresh = np.zeros(d)
         thresh[K:] = penalty.lam * weights / rho
 
-    # Gram matrix of the stacked design, assembled blockwise:
-    #   [ n I_K      1' X (each row) ]
-    #   [ X' 1       K X' X          ]
-    colsum = X.sum(axis=0)
-    G = np.empty((d, d))
-    G[:K, :K] = n * np.eye(K)
-    G[:K, K:] = colsum[None, :]
-    G[K:, :K] = colsum[:, None]
-    G[K:, K:] = K * (X.T @ X)
+    G = stacked_gram(X, np.ones((K, n)))     # Gram matrix of the stacked design
 
     ridge = False
     factor = None

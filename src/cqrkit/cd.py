@@ -62,6 +62,7 @@ from .core import (
     QuantileLevels,
     SolverOptions,
     adaptive_weights,
+    penalty_terms,
     penalty_value,
     sample_quantile,
     stack_composite,
@@ -361,14 +362,8 @@ def fit_cd(data: Dataset, levels: QuantileLevels,
     taus = levels.taus
 
     penalized = penalty.regularized
-    if penalized:
-        weights, active = adaptive_weights(penalty.pilot)
-        if weights.size != p:
-            raise ValueError(f"pilot length {weights.size} does not match p={p}")
-        pseudo = penalty.lam * weights
-    else:
-        active = np.ones(p, dtype=bool)
-        pseudo = np.zeros(p)
+    weights, active = penalty_terms(penalty, p)
+    pseudo = penalty.lam * weights
 
     zero_cols = ~np.any(X != 0.0, axis=0)
     usable = active & ~zero_cols

@@ -4,7 +4,10 @@ Everything downstream (the ADMM / MM / coordinate-descent / interior-point
 fitters, the two-stage adaptive pipeline, the simulation harness) speaks the
 small vocabulary defined here: a dataset, a grid of quantile levels, a penalty
 description, solver options, and a handful of numerical primitives (check
-loss, soft threshold, weighted median, composite stacking, adaptive weights).
+loss, soft threshold, weighted median, composite stacking, adaptive weights
+and the penalty terms of a fit, and the blockwise Gram matrix
+``X*' diag(D) X*`` of the stacked design that the MM, ADMM and
+interior-point fitters factor).
 
 Conventions
 -----------
@@ -37,7 +40,9 @@ __all__ = [
     "sample_quantile",
     "stack_composite",
     "adaptive_weights",
+    "penalty_terms",
     "penalty_value",
+    "stacked_gram",
     "objective",
 ]
 
@@ -72,14 +77,17 @@ class Dataset:
         intercept-only model.
     Y : ndarray of shape (n,)
         Response.
+
+    Both are stored as C-contiguous float arrays, copied only when the
+    input is not one already (``read_csv`` passes a strided column view).
     """
 
     X: np.ndarray
     Y: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        Y = np.asarray(self.Y, dtype=float)
+        X = np.ascontiguousarray(self.X, dtype=float)
+        Y = np.ascontiguousarray(self.Y, dtype=float)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-dimensional (n, p), got ndim={X.ndim}")
         if Y.ndim != 1:
@@ -355,6 +363,37 @@ def adaptive_weights(pilot, floor: float = PILOT_FLOOR):
     weights = np.zeros(pilot.shape)
     weights[active] = 1.0 / pilot[active] ** 2
     return weights, active
+
+
+def penalty_terms(penalty: PenaltySpec, p: int):
+    """Adaptive weights and active mask of a fit with ``p`` coefficients.
+
+    Returns ``(weights, active)`` as ``adaptive_weights`` does; an
+    unpenalized fit gets zero weights with every coefficient active.  Raises
+    ``ValueError`` when the pilot does not have ``p`` entries.
+    """
+    if not penalty.regularized:
+        return np.zeros(p), np.ones(p, dtype=bool)
+    weights, active = adaptive_weights(penalty.pilot)
+    if weights.size != p:
+        raise ValueError(f"pilot length {weights.size} does not match p={p}")
+    return weights, active
+
+
+def stacked_gram(X, D):
+    """``X*' diag(D) X*`` for the stacked composite design, built blockwise.
+
+    ``D`` is a (K, n) array of row weights in the level-major layout of
+    ``X*``; the stacked design itself is never formed.  The result is the
+    (K + p) x (K + p) matrix ``[[diag(D 1), D X], [X' D', X' diag(1' D) X]]``.
+    """
+    K, p = D.shape[0], X.shape[1]
+    G = np.empty((K + p, K + p))
+    G[:K, :K] = np.diag(D.sum(axis=1))
+    G[:K, K:] = D @ X
+    G[K:, :K] = G[:K, K:].T
+    G[K:, K:] = X.T @ (D.sum(axis=0)[:, None] * X)
+    return G
 
 
 def penalty_value(beta, penalty: PenaltySpec) -> float:

@@ -1,35 +1,43 @@
-"""Linear-programming backend: LP builders for the (composite) quantile
-problems and a self-contained primal-dual interior-point solver.
+"""Interior-point fitter: Frisch-Newton on the bounded dual of the
+(composite) quantile-regression linear program.
 
-The check loss is linearized by splitting each residual into its positive
-and negative parts, ``y_i - b_k - x_i' beta = u_ik - v_ik`` with
-``u, v >= 0``; the objective then charges ``tau_k`` per unit of ``u`` and
-``1 - tau_k`` per unit of ``v``.  An adaptive-lasso term enters through
-auxiliary variables ``beta*_j >= 0`` with ``beta_j <= beta*_j`` and
-``-beta_j <= beta*_j`` and cost ``lam * weight_j`` on ``beta*_j``.
+With the stacked design ``X*`` (level-major rows, see ``core``), stacked
+response ``y*``, levels ``tau*`` and row weights ``u``, the fit minimizes
+``sum_i u_i rho_{tau_i}(y*_i - x*_i' theta)``.  Its dual is the bounded
+program
 
-``solve_lp`` is a Mehrotra-style predictor-corrector on the canonical form
-``min c'x : Ax = b`` with nonnegative, boxed, and free variables.  Free
-variables are kept in the Newton system natively (no splitting): each step
-solves the lightly regularized augmented system
+    max  y*' a   s.t.  X*' a = X*' (u o (1 - tau*)),   0 <= a <= u,
 
-    [ -(D + dI)   A' ] [ dx ]   [ rhat ]
-    [  A          dI ] [ dy ] = [ rp   ]
+whose equality multipliers, negated, are the coefficients ``theta``.  This
+is quantreg's ``rq.fit.fnb`` (Portnoy & Koenker 1997, "The Gaussian hare
+and the Laplacian tortoise", Statistical Science 12(4)): a Mehrotra
+predictor-corrector started from ``a = u o (1 - tau*)`` and the
+least-squares coefficients.  The multipliers ``z`` of ``a >= 0`` and ``w``
+of ``a <= u`` split the residual, ``y* - X* theta = w - z``.
 
-by sparse LU, where D is the barrier diagonal (zero on free columns).
-Solving this form instead of the condensed normal equations keeps the
-basic/nonbasic scale spread out of the back-substitution, and one or two
-passes of full-system iterative refinement recover the digits the
-regularization costs.
+Each iteration factors one (K + p)-square Newton matrix ``X*' diag(q) X*``,
+assembled blockwise from ``X`` by ``core.stacked_gram``, and reuses it for
+the predictor and the corrector, by Cholesky.  When ``X*`` is rank
+deficient (p >= n, duplicated columns, a one-hot block beside the
+intercepts) or Cholesky fails, the step is the minimum-norm least-squares
+solution of the same system.  Its right-hand side lies in the range of the
+matrix, so that step solves the system exactly, and every step stays in
+the row space of ``X*``: at p >= n the fit is the least-L2-norm
+interpolant, as the least-squares start is.
+
+The adaptive lasso enters as rows (quantreg's ``rq.fit.lasso``): each
+active coefficient ``j`` adds the row ``e_j`` with response 0, level 1/2
+and weight ``2 lam w_j``, whose check loss is ``lam w_j |beta_j|``.
+Inactive coefficients are dropped from the design, which pins them at zero.
+
+The fit converges when the duality gap ``a'z + (u - a)'w`` is at most
+``GAP_TOL (1 + |primal|)``, the primal value being the dual's plus the gap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .core import (
     Dataset,
@@ -37,576 +45,135 @@ from .core import (
     PenaltySpec,
     QuantileLevels,
     SolverOptions,
-    adaptive_weights,
     objective,
+    penalty_terms,
+    stacked_gram,
 )
 
-__all__ = ["LinearProgram", "LPSolution", "build_qr_lp", "solve_lp", "fit_ip"]
+__all__ = ["fit_ip"]
 
-OPTIMAL = "optimal"
-MAX_ITER = "max_iter"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-
-FEAS_TOL = 1e-8
 GAP_TOL = 1e-8
+#: fraction of the distance to the boundary an iterate may move (quantreg's beta)
+STEP = 0.99995
+#: floor on both multipliers of a row whose starting residual is this small
+START_FLOOR = 1e-6
 
 
-@dataclass
-class LinearProgram:
-    """``min c'x + c0`` subject to ``lc <= A x <= uc`` and ``lx <= x <= ux``.
-
-    Equalities are rows with ``lc == uc``; one-sided rows and bounds use
-    ``+-inf``.  ``A`` may be a dense array or any scipy sparse matrix.
-    """
-
-    c: np.ndarray
-    c0: float
-    A: object
-    lc: np.ndarray
-    uc: np.ndarray
-    lx: np.ndarray
-    ux: np.ndarray
-
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        self.lc = np.asarray(self.lc, dtype=float)
-        self.uc = np.asarray(self.uc, dtype=float)
-        self.lx = np.asarray(self.lx, dtype=float)
-        self.ux = np.asarray(self.ux, dtype=float)
-        if not sp.issparse(self.A):
-            self.A = np.asarray(self.A, dtype=float)
-        m, d = self.A.shape
-        if self.c.shape != (d,) or self.lx.shape != (d,) or self.ux.shape != (d,):
-            raise ValueError("variable-dimension mismatch")
-        if self.lc.shape != (m,) or self.uc.shape != (m,):
-            raise ValueError("constraint-dimension mismatch")
-        if not np.all(self.lc <= self.uc):
-            raise ValueError("lc > uc on some row")
-        if not np.all(self.lx <= self.ux):
-            raise ValueError("lx > ux on some variable")
-        if not np.all(np.isfinite(self.c)):
-            raise ValueError("costs must be finite")
-
-    @property
-    def n_rows(self):
-        return self.A.shape[0]
-
-    @property
-    def n_cols(self):
-        return self.A.shape[1]
-
-
-@dataclass
-class LPSolution:
-    x: np.ndarray
-    dual: np.ndarray
-    objective: float
-    status: str
-    iterations: int = 0
-    feasibility: float = np.inf
-    gap: float = np.inf
-
-
-def build_qr_lp(data: Dataset, levels: QuantileLevels,
-                penalty: PenaltySpec | None = None):
-    """LP for (composite, optionally adaptive-lasso) quantile regression.
-
-    Variable order: K intercepts and p coefficients (free), then the
-    positive parts ``u`` and negative parts ``v`` level-major, then
-    ``beta*`` when penalized.  Returns ``(LinearProgram, varmap)`` where
-    varmap holds slices for "theta", "u", "v", and "beta_star".
-    """
-    penalty = PenaltySpec.none() if penalty is None else penalty
-    n, p, K = data.n, data.p, levels.K
-    nK = n * K
-    d_theta = K + p
-    penalized = penalty.regularized
-    if penalized:
-        weights, active = adaptive_weights(penalty.pilot)
-        if weights.size != p:
-            raise ValueError(f"pilot length {weights.size} does not match p={p}")
-    n_var = d_theta + 2 * nK + (p if penalized else 0)
-
-    # equality block: b_k + x_i'beta + u_ik - v_ik = y_i, level-major
-    eq = np.arange(nK)
-    rows = [eq, np.repeat(eq, p), eq, eq]
-    cols = [eq // n, np.tile(K + np.arange(p), nK), d_theta + eq, d_theta + nK + eq]
-    vals = [np.ones(nK), np.tile(data.X, (K, 1)).ravel(), np.ones(nK), -np.ones(nK)]
-    n_rows = nK
-    if penalized:
-        # beta_j - beta*_j <= 0 and -beta_j - beta*_j <= 0
-        li = np.arange(2 * p)
-        pr = nK + li
-        jj = np.repeat(np.arange(p), 2)
-        rows += [pr, pr]
-        cols += [K + jj, d_theta + 2 * nK + jj]
-        vals += [np.where(li % 2 == 0, 1.0, -1.0), -np.ones(2 * p)]
-        n_rows += 2 * p
-
-    A = sp.csr_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n_rows, n_var))
-
-    c = np.zeros(n_var)
-    c[d_theta:d_theta + nK] = np.repeat(levels.taus, n)
-    c[d_theta + nK:d_theta + 2 * nK] = np.repeat(1.0 - levels.taus, n)
-
-    lc = np.empty(n_rows)
-    uc = np.empty(n_rows)
-    lc[:nK] = uc[:nK] = np.tile(data.Y, K)
-
-    lx = np.full(n_var, -np.inf)
-    ux = np.full(n_var, np.inf)
-    lx[d_theta:] = 0.0
-
-    varmap = {"theta": slice(0, d_theta),
-              "u": slice(d_theta, d_theta + nK),
-              "v": slice(d_theta + nK, d_theta + 2 * nK),
-              "beta_star": None}
-    if penalized:
-        lc[nK:] = -np.inf
-        uc[nK:] = 0.0
-        star = slice(d_theta + 2 * nK, n_var)
-        varmap["beta_star"] = star
-        c[star] = penalty.lam * np.where(active, weights, 0.0)
-        # inactive coordinates are pinned at zero
-        for j in range(p):
-            if not active[j]:
-                lx[K + j] = ux[K + j] = 0.0
-                lx[d_theta + 2 * nK + j] = ux[d_theta + 2 * nK + j] = 0.0
-
-    lp = LinearProgram(c=c, c0=0.0, A=A, lc=lc, uc=uc, lx=lx, ux=ux)
-    return lp, varmap
-
-
-# --------------------------------------------------------------- canonical
-
-@dataclass
-class _Canonical:
-    """Standard form ``min c'x : Ax = b`` with per-column kinds.
-
-    kind 0 = nonnegative, 1 = boxed (0 <= x <= ub), 2 = free.
-    ``undo`` maps original variables back: (mode, column, offset) with mode
-    "fixed" (column is None, offset is the value), "shift" (x = col + off),
-    or "negshift" (x = off - col).
-    """
-
-    A: sp.csr_matrix
-    b: np.ndarray
-    c: np.ndarray
-    c0: float
-    kind: np.ndarray
-    ub: np.ndarray
-    undo: list
-    row_of: np.ndarray  # std row index for each original row (-1 = dropped)
-
-
-def _canonicalize(lp: LinearProgram) -> _Canonical:
-    A = sp.csc_matrix(lp.A)
-    m, d = A.shape
-    c = lp.c.copy()
-    c0 = float(lp.c0)
-    lo = lp.lc.copy()
-    hi = lp.uc.copy()
-
-    undo = []
-    keep_cols = []
-    col_kind = []
-    col_ub = []
-    shift_total = np.zeros(m)
-    negate = []
-    for j in range(d):
-        lj, uj = lp.lx[j], lp.ux[j]
-        col = A[:, j]
-        if lj == uj:
-            undo.append(("fixed", None, lj))
-            if lj != 0.0:
-                adj = np.asarray(col.todense()).ravel() * lj
-                shift_total += adj
-                c0 += c[j] * lj
-            continue
-        if np.isfinite(lj):
-            undo.append(("shift", len(keep_cols), lj))
-            if lj != 0.0:
-                shift_total += np.asarray(col.todense()).ravel() * lj
-                c0 += c[j] * lj
-            keep_cols.append(j)
-            negate.append(False)
-            if np.isfinite(uj):
-                col_kind.append(1)
-                col_ub.append(uj - lj)
-            else:
-                col_kind.append(0)
-                col_ub.append(np.inf)
-        elif np.isfinite(uj):
-            # only an upper bound: substitute x = uj - x'
-            undo.append(("negshift", len(keep_cols), uj))
-            shift_total += np.asarray(col.todense()).ravel() * uj
-            c0 += c[j] * uj
-            keep_cols.append(j)
-            negate.append(True)
-            col_kind.append(0)
-            col_ub.append(np.inf)
-        else:
-            undo.append(("shift", len(keep_cols), 0.0))
-            keep_cols.append(j)
-            negate.append(False)
-            col_kind.append(2)
-            col_ub.append(np.inf)
-
-    A2 = A[:, keep_cols].tolil()
-    cc = c[keep_cols].copy()
-    for idx, neg in enumerate(negate):
-        if neg:
-            A2[:, idx] = -A2[:, idx]
-            cc[idx] = -cc[idx]
-    lo = lo - shift_total
-    hi = hi - shift_total
-
-    # rows: equalities stay; inequalities gain a slack column
-    blocks_rows, blocks_cols, blocks_vals = [], [], []
-    b = []
-    row_of = np.full(m, -1, dtype=int)
-    slack_kind = []
-    slack_ub = []
-    A2 = sp.csr_matrix(A2)
-    n_cols = len(keep_cols)
-    std_rows = []
-    for i in range(m):
-        li, ui = lo[i], hi[i]
-        if not np.isfinite(li) and not np.isfinite(ui):
-            continue
-        r = len(std_rows)
-        row_of[i] = r
-        std_rows.append(i)
-        if li == ui:
-            b.append(li)
-        elif np.isfinite(ui) and not np.isfinite(li):
-            blocks_rows.append(r)
-            blocks_cols.append(n_cols + len(slack_kind))
-            blocks_vals.append(1.0)
-            slack_kind.append(0)
-            slack_ub.append(np.inf)
-            b.append(ui)
-        elif np.isfinite(li) and not np.isfinite(ui):
-            blocks_rows.append(r)
-            blocks_cols.append(n_cols + len(slack_kind))
-            blocks_vals.append(-1.0)
-            slack_kind.append(0)
-            slack_ub.append(np.inf)
-            b.append(li)
-        else:  # ranged row: boxed slack
-            blocks_rows.append(r)
-            blocks_cols.append(n_cols + len(slack_kind))
-            blocks_vals.append(-1.0)
-            slack_kind.append(1)
-            slack_ub.append(ui - li)
-            b.append(li)
-
-    n_slack = len(slack_kind)
-    Astd = A2[std_rows]
-    if n_slack:
-        S = sp.csr_matrix((blocks_vals, (blocks_rows, blocks_cols)),
-                          shape=(len(std_rows), n_cols + n_slack))
-        Astd = sp.hstack([Astd, S[:, n_cols:]], format="csr")
-    cstd = np.concatenate([cc, np.zeros(n_slack)])
-    kind = np.array(col_kind + slack_kind, dtype=int)
-    ub = np.array(col_ub + slack_ub, dtype=float)
-    return _Canonical(A=sp.csr_matrix(Astd), b=np.array(b), c=cstd, c0=c0,
-                      kind=kind, ub=ub, undo=undo, row_of=row_of)
-
-
-# ------------------------------------------------------------------- solver
-
-class _Step:
-    """One factorization of the regularized augmented KKT matrix
-
-        [ -(D + r I)   A' ]
-        [  A         r I  ]
-
-    reused for the predictor and corrector solves of an iteration.  D is
-    the barrier diagonal (zero on free columns); LU with partial pivoting
-    copes with the basic/nonbasic scale spread far better than condensed
-    normal equations do."""
-
-    def __init__(self, A, dvec):
-        m, d = A.shape
-        self.d = d
-        for reg in (1e-11, 1e-7):
-            K = sp.bmat([[sp.diags(-(dvec + reg)), A.T],
-                         [A, reg * sp.eye(m)]], format="csc")
-            try:
-                self.lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A",
-                                    diag_pivot_thresh=0.1,
-                                    options={"SymmetricMode": True})
-                return
-            except RuntimeError:
-                continue
-        raise np.linalg.LinAlgError("KKT matrix is numerically singular")
-
-    def solve(self, rhat, rp):
-        sol = self.lu.solve(np.concatenate([rhat, rp]))
-        return sol[:self.d], sol[self.d:]
-
-
-def solve_lp(lp: LinearProgram, opts: SolverOptions | None = None) -> LPSolution:
-    """Primal-dual predictor-corrector solve of a LinearProgram."""
-    opts = SolverOptions() if opts is None else opts
-    can = _canonicalize(lp)
-    A, b, c = can.A, can.b, can.c
-    m, d = A.shape
-    free = can.kind == 2
-    boxed = can.kind == 1
-    bnd = ~free
-    ub = can.ub
-
-    if d == 0 or m == 0:
-        # no coupling rows: the problem separates coordinate by coordinate
-        x = np.zeros(d)
-        status = OPTIMAL
-        for j in range(d):
-            if free[j] and c[j] != 0.0:
-                status = UNBOUNDED
-            elif c[j] < 0.0:
-                if boxed[j]:
-                    x[j] = ub[j]
-                else:
-                    status = UNBOUNDED
-        return _assemble(lp, can, x, np.zeros(m), status, 0, 0.0, 0.0)
-
-    n_bnd = int(np.count_nonzero(bnd)) + int(np.count_nonzero(boxed))
-
-    # -- starting point (least-squares heuristic, then shift to interior)
-    step = _Step(A, np.ones(d))
-    x, _ = step.solve(np.zeros(d), b)
-    _, y = step.solve(c, np.zeros(m))
-    z = np.zeros(d)
-    z[bnd] = c[bnd] - (A.T @ y)[bnd]
-
-    xb = x[bnd]
-    zb = z[bnd]
-    dx = max(-1.5 * xb.min(initial=0.0), 0.0)
-    dz = max(-1.5 * zb.min(initial=0.0), 0.0)
-    xb = xb + dx
-    zb = zb + dz
-    dot = float(xb @ zb)
-    xb += 0.5 * dot / max(zb.sum(), 1e-10) + 1e-2
-    zb += 0.5 * dot / max(xb.sum(), 1e-10) + 1e-2
-    x[bnd] = xb
-    z[bnd] = zb
-    # boxed: keep strictly inside and split the duals
-    if np.any(boxed):
-        ubb = ub[boxed]
-        x[boxed] = np.clip(x[boxed], 0.01 * np.minimum(1.0, ubb), 0.99 * ubb)
-    w = np.where(boxed, ub - x, 0.0)
-    q = np.where(boxed, np.maximum(-z, 0.0) + 1e-2, 0.0)
-    z = np.where(bnd, np.maximum(z, 1e-2), 0.0)
-
-    bnorm = 1.0 + float(np.abs(b).max(initial=0.0))
-    cnorm = 1.0 + float(np.abs(c).max(initial=0.0))
-    status = MAX_ITER
-    feas = np.inf
-    relgap = np.inf
-    it = 0
-    max_iter = min(opts.max_iter, 200)
-    it = 0
-    while True:
-        rp = b - A @ x
-        rd = c - (A.T @ y) - z + q
-        gap = float(x[bnd] @ z[bnd] + (w[boxed] @ q[boxed] if np.any(boxed) else 0.0))
-        mu = gap / max(n_bnd, 1)
-        primal = float(c @ x)
-        dualobj = float(b @ y) - (float(ub[boxed] @ q[boxed]) if np.any(boxed) else 0.0)
-        feas = float(np.abs(rp).max(initial=0.0)) / bnorm
-        dfeas = float(np.abs(rd).max(initial=0.0)) / cnorm
-        relgap = abs(primal - dualobj) / (1.0 + abs(primal))
-        if feas <= FEAS_TOL and dfeas <= FEAS_TOL and relgap <= GAP_TOL:
-            status = OPTIMAL
-            break
-        if not np.isfinite(mu) or np.abs(x).max() > 1e14:
-            status = UNBOUNDED if dfeas > FEAS_TOL and feas <= 1e-4 else INFEASIBLE
-            break
-        if mu < 1e-10 and primal < -1e10 and dfeas > 1e-6:
-            # cost diverging along a ray the dual cannot certify against
-            status = UNBOUNDED
-            break
-        if mu < 1e-10 and dualobj > 1e10 and feas > 1e-6:
-            status = INFEASIBLE
-            break
-        if mu < 1e-12 and feas > 1e-4:
-            status = INFEASIBLE
-            break
-        if mu < 1e-13 and feas > FEAS_TOL:
-            # stalled short of target feasibility with nothing left to move
-            status = MAX_ITER
-            break
-        if it >= max_iter:
-            status = MAX_ITER
-            break
-        it += 1
-
-        xb_ = np.maximum(x[bnd], 1e-300)
-        wb = np.maximum(w[boxed], 1e-300) if np.any(boxed) else None
-        dvec = np.zeros(d)
-        dvec[bnd] = z[bnd] / xb_
-        if np.any(boxed):
-            dvec[boxed] += q[boxed] / wb
-        try:
-            step = _Step(A, dvec)
-        except np.linalg.LinAlgError:
-            status = MAX_ITER
-            break
-
-        def newton_once(rp_, rd_, rxz_, rwq_):
-            # eliminate dz (and dq) through the complementarity rows, then
-            # solve the augmented system for (dx, dy) and back-substitute
-            rhat = rd_.copy()
-            rhat[bnd] = rd_[bnd] - rxz_[bnd] / xb_
-            if np.any(boxed):
-                rhat[boxed] += rwq_[boxed] / wb
-            dxval, dy = step.solve(rhat, rp_)
-            dzval = np.zeros(d)
-            dzval[bnd] = (rxz_[bnd] - z[bnd] * dxval[bnd]) / xb_
-            dqval = np.zeros(d)
-            dwval = np.zeros(d)
-            if np.any(boxed):
-                dwval[boxed] = -dxval[boxed]
-                dqval[boxed] = (rwq_[boxed] - q[boxed] * dwval[boxed]) / wb
-            return dxval, dy, dzval, dwval, dqval
-
-        def newton(rxz, rwq):
-            # one full-system refinement pass: back-substitution through
-            # dinv loses digits once the iterate is nearly complementary
-            dxv, dy, dzv, dwv, dqv = newton_once(rp, rd, rxz, rwq)
-            for _ in range(2):
-                e1 = rp - (A @ dxv)
-                e2 = rd - ((A.T @ dy) + dzv - dqv)
-                e3 = np.zeros(d)
-                e3[bnd] = rxz[bnd] - (z[bnd] * dxv[bnd] + x[bnd] * dzv[bnd])
-                e4 = np.zeros(d)
-                if np.any(boxed):
-                    e4[boxed] = rwq[boxed] - (q[boxed] * dwv[boxed]
-                                              + w[boxed] * dqv[boxed])
-                err = max(np.abs(e1).max(initial=0.0), np.abs(e3).max(initial=0.0))
-                if err <= 1e-11 * (1.0 + np.abs(rp).max(initial=0.0) + mu):
-                    break
-                cx, cy, cz, cw, cq = newton_once(e1, e2, e3, e4)
-                dxv = dxv + cx
-                dy = dy + cy
-                dzv = dzv + cz
-                dwv = dwv + cw
-                dqv = dqv + cq
-            return dxv, dy, dzv, dwv, dqv
-
-        # predictor
-        rxz = np.zeros(d)
-        rxz[bnd] = -x[bnd] * z[bnd]
-        rwq = np.zeros(d)
-        if np.any(boxed):
-            rwq[boxed] = -w[boxed] * q[boxed]
-        dxa, dya, dza, dwa, dqa = newton(rxz, rwq)
-        ap = _max_step(x[bnd], dxa[bnd])
-        if np.any(boxed):
-            ap = min(ap, _max_step(w[boxed], dwa[boxed]))
-        ad = _max_step(z[bnd], dza[bnd])
-        if np.any(boxed):
-            ad = min(ad, _max_step(q[boxed], dqa[boxed]))
-        gap_aff = float((x[bnd] + ap * dxa[bnd]) @ (z[bnd] + ad * dza[bnd]))
-        if np.any(boxed):
-            gap_aff += float((w[boxed] + ap * dwa[boxed]) @ (q[boxed] + ad * dqa[boxed]))
-        mu_aff = gap_aff / max(n_bnd, 1)
-        sigma = (mu_aff / max(mu, 1e-300)) ** 3 if mu > 0 else 0.0
-        sigma = min(max(sigma, 0.0), 1.0)
-
-        # corrector (full Mehrotra direction)
-        rxz[bnd] = sigma * mu - x[bnd] * z[bnd] - dxa[bnd] * dza[bnd]
-        if np.any(boxed):
-            rwq[boxed] = sigma * mu - w[boxed] * q[boxed] - dwa[boxed] * dqa[boxed]
-        dx_, dy_, dz_, dw_, dq_ = newton(rxz, rwq)
-        ap = 0.9995 * _max_step(x[bnd], dx_[bnd])
-        ad = 0.9995 * _max_step(z[bnd], dz_[bnd])
-        if np.any(boxed):
-            ap = min(ap, 0.9995 * _max_step(w[boxed], dw_[boxed]))
-            ad = min(ad, 0.9995 * _max_step(q[boxed], dq_[boxed]))
-        ap = min(ap, 1.0)
-        ad = min(ad, 1.0)
-        if min(ap, ad) < 1e-8:
-            # corrector blocked near a degenerate corner; a pure centering
-            # direction (sigma = 1, no second-order term) usually still moves
-            rxz[bnd] = mu - x[bnd] * z[bnd]
-            if np.any(boxed):
-                rwq[boxed] = mu - w[boxed] * q[boxed]
-            cand = newton(rxz, rwq)
-            ap2 = min(0.9995 * _max_step(x[bnd], cand[0][bnd]), 1.0)
-            ad2 = min(0.9995 * _max_step(z[bnd], cand[2][bnd]), 1.0)
-            if np.any(boxed):
-                ap2 = min(ap2, 0.9995 * _max_step(w[boxed], cand[3][boxed]))
-                ad2 = min(ad2, 0.9995 * _max_step(q[boxed], cand[4][boxed]))
-            if min(ap2, ad2) > min(ap, ad):
-                dx_, dy_, dz_, dw_, dq_ = cand
-                ap, ad = ap2, ad2
-        if ap < 1e-10 and ad < 1e-10:
-            status = MAX_ITER
-            break
-        x = x + ap * dx_
-        y = y + ad * dy_
-        z = z + ad * dz_
-        if np.any(boxed):
-            w = w + ap * dw_
-            q = q + ad * dq_
-
-    return _assemble(lp, can, x, y, status, it, feas, relgap)
-
-
-def _max_step(v, dv):
-    neg = dv < 0
-    if not np.any(neg):
-        return 1.0
-    return float(min(1.0, np.min(-v[neg] / dv[neg])))
-
-
-def _assemble(lp, can, x_std, y_std, status, iters, feas, relgap):
-    d = lp.n_cols
-    x = np.empty(d)
-    for j, (mode, col, off) in enumerate(can.undo):
-        if mode == "fixed":
-            x[j] = off
-        elif mode == "shift":
-            x[j] = x_std[col] + off
-        else:
-            x[j] = off - x_std[col]
-    dual = np.zeros(lp.n_rows)
-    live = can.row_of >= 0
-    dual[live] = y_std[can.row_of[live]]
-    obj = float(lp.c @ x) + lp.c0
-    return LPSolution(x=x, dual=dual, objective=obj, status=status,
-                      iterations=iters, feasibility=feas, gap=relgap)
+def _step(v, dv):
+    """Step length in (0, 1] that keeps ``v + step * dv`` positive."""
+    neg = dv < 0.0
+    return min(1.0, STEP * float(np.min(-v[neg] / dv[neg], initial=np.inf)))
 
 
 def fit_ip(data: Dataset, levels: QuantileLevels,
            penalty: PenaltySpec | None = None,
            options: SolverOptions | None = None) -> FitResult:
-    """Fit by building the LP and running the interior-point solver."""
+    """Fit by the Frisch-Newton interior point on the bounded dual.
+
+    ``diagnostics["dual"]`` is the dual vector ``a``: the level-major data
+    rows, then one row per penalized coefficient.  ``diagnostics["gap"]`` is
+    the final duality gap.
+    """
     penalty = PenaltySpec.none() if penalty is None else penalty
     opts = SolverOptions() if options is None else options
-    lp, varmap = build_qr_lp(data, levels, penalty)
-    sol = solve_lp(lp, opts)
-    theta = sol.x[varmap["theta"]]
-    intercepts = theta[:levels.K].copy()
-    beta = theta[levels.K:].copy()
-    if penalty.regularized:
-        _, active = adaptive_weights(penalty.pilot)
-        beta[~active] = 0.0
-    obj = objective(data, intercepts, beta, levels, penalty)
-    diagnostics = {
-        "lp_status": sol.status,
-        "lp_objective": sol.objective,
-        "lp_feasibility": sol.feasibility,
-        "lp_gap": sol.gap,
-        "dual": sol.dual,
-    }
-    return FitResult(intercepts=intercepts, coefficients=beta,
-                     iterations=sol.iterations,
-                     converged=sol.status == OPTIMAL,
-                     objective=obj, algorithm="ip", diagnostics=diagnostics)
+    weights, active = penalty_terms(penalty, data.p)
+    n, K = data.n, levels.K
+    nK = n * K
+    X = data.X[:, active]
+    pen = 2.0 * penalty.lam * weights[active]
+    rows = np.nonzero(pen > 0.0)[0]       # active columns with a penalty row
+
+    def design(theta):                    # X* theta
+        fit = theta[:K, None] + (X @ theta[K:])[None, :]
+        return np.concatenate([fit.ravel(), theta[K:][rows]])
+
+    def design_t(v):                      # X*' v
+        V = v[:nK].reshape(K, n)
+        out = np.concatenate([V.sum(axis=1), X.T @ V.sum(axis=0)])
+        out[K + rows] += v[nK:]
+        return out
+
+    def gram(q):                          # X*' diag(q) X*
+        G = stacked_gram(X, q[:nK].reshape(K, n))
+        G[K + rows, K + rows] += q[nK:]
+        return G
+
+    ys = np.concatenate([np.tile(data.Y, K), np.zeros(rows.size)])
+    tau = np.concatenate([np.repeat(levels.taus, n), np.full(rows.size, 0.5)])
+    u = np.concatenate([np.ones(nK), pen[rows]])
+    b = design_t(u * (1.0 - tau))
+
+    a = u * (1.0 - tau)
+    s = u * tau                           # slack u - a of the upper bound
+    # Cholesky runs only on a design of full column rank, judged on the
+    # column-scaled Gram matrix so that units do not matter.  On an exactly
+    # singular matrix it can succeed on a roundoff pivot and step off the
+    # row space of X*.
+    G = gram(np.ones(u.size))
+    norms = np.sqrt(np.diag(G))
+    full_rank = bool(np.all(norms > 0.0)) and (
+        np.linalg.matrix_rank(G / np.outer(norms, norms)) == G.shape[0])
+
+    def newton_solver(G):                 # rhs -> G^+ rhs
+        if full_rank:
+            try:
+                factor = cho_factor(G)
+                return lambda rhs: cho_solve(factor, rhs)
+            except LinAlgError:
+                pass
+        return lambda rhs: np.linalg.lstsq(G, rhs, rcond=None)[0]
+
+    theta = newton_solver(G)(design_t(ys))   # minimum-norm least squares
+    r = ys - design(theta)
+    floor = np.where(np.abs(r) < START_FLOOR, START_FLOOR, 0.0)
+    z = np.maximum(-r, 0.0) + floor
+    w = np.maximum(r, 0.0) + floor
+
+    cap = min(opts.max_iter, 200)
+    iterations = 0
+    while True:
+        gap = float(a @ z + s @ w)
+        dual_value = float(ys @ (a - u * (1.0 - tau)))
+        converged = gap <= GAP_TOL * (1.0 + abs(dual_value + gap))
+        if converged or iterations == cap:
+            break
+        iterations += 1
+
+        q = 1.0 / (z / a + w / s)
+        solve = newton_solver(gram(q))
+        rb = b - design_t(a)              # primal residual
+        rc = ys - design(theta) - w + z   # dual residual
+
+        def direction(rxz, rsw):
+            # complementarity rows a dz + z da = rxz and s dw - w da = rsw
+            g = rc + rxz / a - rsw / s
+            dtheta = solve(design_t(q * g) - rb)
+            da = q * (g - design(dtheta))
+            return da, dtheta, (rxz - z * da) / a, (rsw + w * da) / s
+
+        da, dtheta, dz, dw = direction(-a * z, -s * w)
+        ap = min(_step(a, da), _step(s, -da))
+        ad = min(_step(z, dz), _step(w, dw))
+        if min(ap, ad) < 1.0:
+            # Mehrotra corrector, centred at (affine gap / gap)^3 of the mean
+            affine = float((a + ap * da) @ (z + ad * dz)
+                           + (s - ap * da) @ (w + ad * dw))
+            mu = (affine / gap) ** 3 * gap / (2 * a.size)
+            da, dtheta, dz, dw = direction(mu - a * z - da * dz,
+                                           mu - s * w + da * dw)
+            ap = min(_step(a, da), _step(s, -da))
+            ad = min(_step(z, dz), _step(w, dw))
+        a = a + ap * da
+        s = s - ap * da
+        theta = theta + ad * dtheta
+        z = z + ad * dz
+        w = w + ad * dw
+
+    intercepts = theta[:K].copy()
+    coefficients = np.zeros(data.p)
+    coefficients[active] = theta[K:]
+    obj = objective(data, intercepts, coefficients, levels, penalty)
+    return FitResult(intercepts=intercepts, coefficients=coefficients,
+                     iterations=iterations, converged=converged,
+                     objective=obj, algorithm="ip",
+                     diagnostics={"dual": a, "gap": gap})

@@ -36,9 +36,10 @@ from .core import (
     PenaltySpec,
     QuantileLevels,
     SolverOptions,
-    adaptive_weights,
     check_loss,
     objective,
+    penalty_terms,
+    stacked_gram,
 )
 
 __all__ = ["smoothed_check_loss", "majorizer_value", "fit_mm"]
@@ -99,13 +100,8 @@ def fit_mm(data: Dataset, levels: QuantileLevels,
     d = K + p
 
     penalized = penalty.regularized
-    if penalized:
-        weights, active = adaptive_weights(penalty.pilot)
-        if weights.size != p:
-            raise ValueError(f"pilot length {weights.size} does not match p={p}")
-        lam = penalty.lam
-    else:
-        active = np.ones(p, dtype=bool)
+    weights, active = penalty_terms(penalty, p)
+    lam = penalty.lam
     frozen = ~active                      # inactive coordinates start frozen
     colsum = X.sum(axis=0)
     q_level = taus - 0.5                  # linear term per level
@@ -150,11 +146,7 @@ def fit_mm(data: Dataset, levels: QuantileLevels,
         D = 1.0 / (4.0 * (eps + np.abs(R)))          # (K, n)
         s = D.sum(axis=0)                            # (n,)
         nf = int(free.sum())
-        H = np.empty((K + nf, K + nf))
-        H[:K, :K] = np.diag(D.sum(axis=1))
-        H[:K, K:] = D @ Xf
-        H[K:, :K] = H[:K, K:].T
-        H[K:, K:] = Xf.T @ (s[:, None] * Xf)
+        H = stacked_gram(Xf, D)
         rhs = np.empty(K + nf)
         rhs[:K] = D @ Y + 0.5 * n * q_level
         rhs[K:] = Xf.T @ (s * Y) + 0.5 * q_total * colsum[free]

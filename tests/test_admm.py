@@ -251,13 +251,6 @@ def test_default_options_converge_on_moderate_problem():
     assert res.iterations < 5000
 
 
-def test_pilot_length_mismatch():
-    data = Dataset(np.zeros((4, 2)), np.zeros(4))
-    pen = PenaltySpec.adaptive_lasso(1.0, np.array([1.0]))
-    with pytest.raises(ValueError):
-        fit_admm(data, QuantileLevels.single(0.5), pen)
-
-
 # ---------------------------------------------------------------------------
 # penalized_ls
 # ---------------------------------------------------------------------------

@@ -251,6 +251,15 @@ def test_simulate_unwritable_output_is_input_error(tmp_path, capsys):
 
 # ------------------------------------------------------------- entry point
 
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs a large share of every command's start-up
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cqrkit.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 def test_module_entry_point_smoke(table):
     proc = subprocess.run(
         [sys.executable, "-m", "cqrkit", "fit", "--input", str(table),

@@ -29,6 +29,7 @@ def test_response_by_name(tmp_path):
     path = _write(tmp_path, "a,y,b\n1,10,2\n3,20,4\n5,30,6\n")
     data = read_csv(path, "y")
     assert (data.n, data.p) == (3, 2)
+    assert data.Y.flags.c_contiguous and data.X.flags.c_contiguous
     np.testing.assert_array_equal(data.Y, [10.0, 20.0, 30.0])
     np.testing.assert_array_equal(data.X, [[1, 2], [3, 4], [5, 6]])
 

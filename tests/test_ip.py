@@ -1,8 +1,8 @@
-"""Interior-point backend tests.
+"""Interior-point fitter tests.
 
-Small hand-checkable programs pin down the LP container semantics; the
-regression fits are compared against the subset-enumeration oracle and
-against scipy's simplex-family solver on general programs.
+The fits are compared against the subset-enumeration oracle, the exact
+one-covariate penalized path and HiGHS; the dual vector in the diagnostics
+is checked for feasibility and strong duality.
 """
 
 import numpy as np
@@ -10,205 +10,9 @@ import pytest
 from scipy.optimize import linprog
 
 from cqrkit import Dataset, PenaltySpec, QuantileLevels, objective
-from cqrkit.ip import (
-    LinearProgram,
-    build_qr_lp,
-    fit_ip,
-    solve_lp,
-)
+from cqrkit.ip import fit_ip
 
 from oracles import penalized_qr_1d_exact, qr_exact
-
-
-def _scipy_reference(lp):
-    """Solve a LinearProgram with scipy.optimize.linprog for comparison."""
-    A = np.asarray(lp.A.todense()) if hasattr(lp.A, "todense") else lp.A
-    Aub, bub, Aeq, beq = [], [], [], []
-    for i in range(A.shape[0]):
-        if lp.lc[i] == lp.uc[i]:
-            Aeq.append(A[i])
-            beq.append(lp.lc[i])
-        else:
-            if np.isfinite(lp.uc[i]):
-                Aub.append(A[i])
-                bub.append(lp.uc[i])
-            if np.isfinite(lp.lc[i]):
-                Aub.append(-A[i])
-                bub.append(-lp.lc[i])
-    res = linprog(
-        lp.c,
-        A_ub=np.array(Aub) if Aub else None,
-        b_ub=np.array(bub) if bub else None,
-        A_eq=np.array(Aeq) if Aeq else None,
-        b_eq=np.array(beq) if beq else None,
-        bounds=list(zip(lp.lx, lp.ux)),
-        method="highs",
-    )
-    return res
-
-
-# ------------------------------------------------------------- container
-
-def test_linear_program_validates_shapes():
-    with pytest.raises(ValueError):
-        LinearProgram(c=np.ones(2), c0=0.0, A=np.ones((1, 3)),
-                      lc=np.zeros(1), uc=np.zeros(1),
-                      lx=np.zeros(2), ux=np.ones(2))
-
-
-def test_linear_program_rejects_crossed_bounds():
-    with pytest.raises(ValueError):
-        LinearProgram(c=np.ones(1), c0=0.0, A=np.ones((1, 1)),
-                      lc=np.array([2.0]), uc=np.array([1.0]),
-                      lx=np.zeros(1), ux=np.ones(1))
-    with pytest.raises(ValueError):
-        LinearProgram(c=np.ones(1), c0=0.0, A=np.ones((1, 1)),
-                      lc=np.zeros(1), uc=np.ones(1),
-                      lx=np.array([3.0]), ux=np.array([1.0]))
-
-
-# ------------------------------------------------------------ tiny programs
-
-def test_bound_only_program():
-    # min x subject to x >= 1: no constraint rows at all
-    lp = LinearProgram(c=np.array([1.0]), c0=0.0, A=np.zeros((0, 1)),
-                       lc=np.zeros(0), uc=np.zeros(0),
-                       lx=np.array([1.0]), ux=np.array([np.inf]))
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.x[0] == pytest.approx(1.0)
-    assert sol.objective == pytest.approx(1.0)
-
-
-def test_positive_part_split():
-    # min u + v subject to u - v = 3 with u, v >= 0
-    lp = LinearProgram(c=np.array([1.0, 1.0]), c0=0.0,
-                       A=np.array([[1.0, -1.0]]),
-                       lc=np.array([3.0]), uc=np.array([3.0]),
-                       lx=np.zeros(2), ux=np.full(2, np.inf))
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.x[0] == pytest.approx(3.0, abs=1e-7)
-    assert sol.x[1] == pytest.approx(0.0, abs=1e-7)
-    assert sol.dual[0] == pytest.approx(1.0, abs=1e-7)
-
-
-def test_unbounded_status():
-    lp = LinearProgram(c=np.array([-1.0, 0.0]), c0=0.0,
-                       A=np.array([[0.0, 1.0]]),
-                       lc=np.array([1.0]), uc=np.array([1.0]),
-                       lx=np.zeros(2), ux=np.full(2, np.inf))
-    assert solve_lp(lp).status == "unbounded"
-
-
-def test_infeasible_status():
-    lp = LinearProgram(c=np.array([1.0]), c0=0.0, A=np.array([[0.0]]),
-                       lc=np.array([1.0]), uc=np.array([1.0]),
-                       lx=np.zeros(1), ux=np.array([np.inf]))
-    assert solve_lp(lp).status == "infeasible"
-
-
-def test_fixed_variable_is_substituted_out():
-    # x1 fixed at 2; remaining problem: min x0 s.t. x0 + 2 = 5
-    lp = LinearProgram(c=np.array([1.0, 0.0]), c0=1.0,
-                       A=np.array([[1.0, 1.0]]),
-                       lc=np.array([5.0]), uc=np.array([5.0]),
-                       lx=np.array([0.0, 2.0]), ux=np.array([np.inf, 2.0]))
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.x[1] == 2.0
-    assert sol.x[0] == pytest.approx(3.0, abs=1e-7)
-    assert sol.objective == pytest.approx(4.0, abs=1e-7)
-
-
-def test_general_programs_match_scipy():
-    rng = np.random.default_rng(31)
-    lx = np.array([0.0, -1.0, -np.inf, -np.inf, 0.0, 2.0])
-    ux = np.array([np.inf, 4.0, 5.0, np.inf, np.inf, 2.0])
-    x0 = np.array([1.0, 0.5, 0.0, -0.3, 0.7, 2.0])  # interior reference point
-    for _ in range(8):
-        A = rng.normal(size=(4, 6))
-        c = rng.normal(size=6)
-        v = A @ x0
-        # mix of equality, one-sided, and ranged rows, all satisfied by x0
-        lc = np.array([v[0], -np.inf, v[2] - 1.0, v[3]])
-        uc = np.array([v[0], v[1] + 1.5, v[2] + 1.0, v[3]])
-        lp = LinearProgram(c=c, c0=0.25, A=A, lc=lc, uc=uc, lx=lx, ux=ux)
-        sol = solve_lp(lp)
-        ref = _scipy_reference(lp)
-        if ref.status == 3:
-            assert sol.status == "unbounded"
-            continue
-        assert ref.status == 0 and sol.status == "optimal"
-        assert sol.objective == pytest.approx(ref.fun + 0.25, abs=1e-6)
-
-
-def test_optimal_implies_certified_residuals():
-    rng = np.random.default_rng(32)
-    for _ in range(10):
-        n, p = int(rng.integers(15, 40)), int(rng.integers(1, 4))
-        X = rng.normal(size=(n, p))
-        Y = X @ rng.uniform(-1, 1, size=p) + rng.normal(size=n)
-        lp, _ = build_qr_lp(Dataset(X, Y), QuantileLevels.single(0.5))
-        sol = solve_lp(lp)
-        assert sol.status == "optimal"
-        assert sol.feasibility <= 1e-8
-        assert sol.gap <= 1e-8
-
-
-# ------------------------------------------------------------- LP assembly
-
-def test_qr_lp_variable_layout():
-    data = Dataset(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]))
-    lp, varmap = build_qr_lp(data, QuantileLevels.single(0.5))
-    # 2 regression parameters + 2 positive parts + 2 negative parts
-    assert lp.n_cols == 6
-    assert lp.n_rows == 2
-    assert varmap["theta"] == slice(0, 2)
-    assert varmap["beta_star"] is None
-    assert np.all(lp.lc == lp.uc)  # all rows are equalities
-
-
-def test_qr_lp_penalized_adds_splitting_rows():
-    rng = np.random.default_rng(1)
-    data = Dataset(rng.normal(size=(5, 2)), rng.normal(size=5))
-    pen = PenaltySpec.adaptive_lasso(1.0, np.array([1.0, 1.0]))
-    plain, _ = build_qr_lp(data, QuantileLevels.single(0.5))
-    lp, varmap = build_qr_lp(data, QuantileLevels.single(0.5), pen)
-    assert lp.n_cols == plain.n_cols + 2
-    assert lp.n_rows == plain.n_rows + 4
-    assert varmap["beta_star"] == slice(plain.n_cols, plain.n_cols + 2)
-    # the splitting rows are one-sided: -inf < beta_j - beta*_j <= 0
-    assert np.all(np.isneginf(lp.lc[5:]))
-    assert np.all(lp.uc[5:] == 0.0)
-
-
-def test_qr_lp_composite_blocks():
-    rng = np.random.default_rng(2)
-    n, p, K = 7, 2, 3
-    data = Dataset(rng.normal(size=(n, p)), rng.normal(size=n))
-    levels = QuantileLevels.grid(K)
-    lp, varmap = build_qr_lp(data, levels)
-    assert lp.n_cols == (K + p) + 2 * n * K
-    assert lp.n_rows == n * K
-    # each level block repeats Y on the right-hand side
-    assert np.allclose(lp.lc[:n], data.Y)
-    assert np.allclose(lp.lc[n:2 * n], data.Y)
-    # objective charges tau on u and (1 - tau) on v, level-major
-    u = varmap["u"]
-    taus = np.repeat(levels.taus, n)
-    assert np.allclose(lp.c[u], taus)
-    assert np.allclose(lp.c[varmap["v"]], 1.0 - taus)
-
-
-def test_qr_lp_theta_columns_are_free():
-    rng = np.random.default_rng(3)
-    data = Dataset(rng.normal(size=(6, 2)), rng.normal(size=6))
-    lp, varmap = build_qr_lp(data, QuantileLevels.grid(2))
-    th = varmap["theta"]
-    assert np.all(np.isneginf(lp.lx[th]))
-    assert np.all(np.isposinf(lp.ux[th]))
-    assert np.all(lp.lx[varmap["u"]] == 0.0)
 
 
 # ------------------------------------------------------------------ fitting
@@ -298,19 +102,34 @@ def test_objective_recomputed_from_parameters():
 
 # --------------------------------------------------------------- invariants
 
+def test_optimal_implies_certified_residuals():
+    rng = np.random.default_rng(32)
+    for _ in range(10):
+        n, p = int(rng.integers(15, 40)), int(rng.integers(1, 4))
+        X = rng.normal(size=(n, p))
+        Y = X @ rng.uniform(-1, 1, size=p) + rng.normal(size=n)
+        fit = fit_ip(Dataset(X, Y), QuantileLevels.single(0.5))
+        assert fit.converged
+        # the dual vector is feasible: 0 <= a <= 1 and X*'a = X*'(1 - tau)
+        a = fit.diagnostics["dual"]
+        assert np.all(a >= 0.0) and np.all(a <= 1.0)
+        Xs = np.column_stack([np.ones(n), X])
+        b = Xs.T @ np.full(n, 0.5)
+        assert np.max(np.abs(Xs.T @ a - b)) <= 1e-8 * (1.0 + np.max(np.abs(b)))
+        assert fit.diagnostics["gap"] <= 1e-8 * (1.0 + abs(fit.objective))
+
+
 def test_strong_duality_at_optimum():
     rng = np.random.default_rng(14)
     for _ in range(6):
         n, p = int(rng.integers(20, 50)), int(rng.integers(1, 4))
         X = rng.normal(size=(n, p))
         Y = X @ rng.uniform(-1, 1, size=p) + rng.normal(size=n)
-        lp, _ = build_qr_lp(Dataset(X, Y), QuantileLevels.single(0.3))
-        sol = solve_lp(lp)
-        assert sol.status == "optimal"
-        # every row of this program is an equality, so the dual objective
-        # is just lc . y
-        dual_obj = float(lp.lc @ sol.dual)
-        primal_obj = sol.objective
+        fit = fit_ip(Dataset(X, Y), QuantileLevels.single(0.3))
+        assert fit.converged
+        # the dual objective of the bounded program is y'(a - (1 - tau))
+        dual_obj = float(Y @ (fit.diagnostics["dual"] - 0.7))
+        primal_obj = fit.objective
         assert abs(primal_obj - dual_obj) <= 1e-8 * (1.0 + abs(primal_obj))
 
 
@@ -343,3 +162,60 @@ def test_lp_optimum_lower_bounds_other_solvers():
         slack = 1e-8 * (1.0 + abs(bound))  # matches the solver's relative gap
         for fitter in (fit_admm, fit_mm, fit_cd):
             assert fitter(data, levels).objective >= bound - slack
+
+
+# ----------------------------------------------------------- degenerate designs
+
+def _highs_optimum(data, levels):
+    """Optimum of the check-loss LP by HiGHS, independent of the fitters."""
+    n, p, K = data.n, data.p, levels.K
+    Xs = np.hstack([np.kron(np.eye(K), np.ones((n, 1))), np.tile(data.X, (K, 1))])
+    taus = np.repeat(levels.taus, n)
+    N = n * K
+    c = np.concatenate([np.zeros(K + p), taus, 1.0 - taus])
+    A = np.hstack([Xs, np.eye(N), -np.eye(N)])
+    bounds = [(None, None)] * (K + p) + [(0, None)] * (2 * N)
+    res = linprog(c, A_eq=A, b_eq=np.tile(data.Y, K), bounds=bounds,
+                  method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def _degenerate_case(name):
+    rng = np.random.default_rng(40)
+    n = 40
+    x = rng.normal(size=(n, 2))
+    levels = QuantileLevels.single(0.5)
+    if name == "duplicated-column":
+        X = np.column_stack([x[:, 0], x[:, 0], x[:, 1]])
+    elif name == "column-in-large-units":
+        X = x * np.array([1e8, 1.0])
+    elif name == "intercept-column":
+        X = np.column_stack([np.ones(n), x])
+    elif name == "one-hot-block":
+        X = np.column_stack([np.eye(3)[rng.integers(0, 3, size=n)], x[:, 0]])
+    elif name == "p-above-n":
+        n = 30
+        X = rng.normal(size=(n, 70))
+    elif name == "intercept-only":
+        X = np.zeros((n, 0))
+    else:  # extreme levels
+        X = x
+        levels = QuantileLevels.single(float(name.split("=")[1]))
+    beta = rng.uniform(-1, 1, size=X.shape[1])
+    Y = X @ beta + rng.standard_t(3, size=n)
+    return Dataset(X, Y), levels
+
+
+@pytest.mark.parametrize("name", ["duplicated-column", "column-in-large-units",
+                                  "intercept-column",
+                                  "one-hot-block", "p-above-n",
+                                  "intercept-only", "tau=0.01", "tau=0.99"])
+def test_degenerate_designs_reach_the_lp_optimum(name):
+    data, levels = _degenerate_case(name)
+    fit = fit_ip(data, levels)
+    best = _highs_optimum(data, levels)
+    assert fit.converged
+    assert np.all(np.isfinite(fit.intercepts))
+    assert np.all(np.isfinite(fit.coefficients))
+    assert abs(fit.objective - best) <= 1e-8 * (1.0 + abs(best))

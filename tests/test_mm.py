@@ -179,10 +179,3 @@ def test_rank_deficient_design_uses_ridge():
     res = fit_mm(Dataset(X, Y), QuantileLevels.single(0.3))
     assert res.converged
     assert res.diagnostics["ridge"]
-
-
-def test_pilot_length_mismatch():
-    data = Dataset(np.zeros((4, 2)), np.zeros(4))
-    pen = PenaltySpec.adaptive_lasso(1.0, np.array([1.0]))
-    with pytest.raises(ValueError):
-        fit_mm(data, QuantileLevels.single(0.5), pen)

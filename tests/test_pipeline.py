@@ -68,6 +68,14 @@ def test_nonpositive_or_nonfinite_lambda_rejected():
                        lam=bad)
 
 
+@pytest.mark.parametrize("algorithm", ALGOS)
+def test_pilot_length_mismatch(algorithm):
+    data = Dataset(np.zeros((4, 2)), np.zeros(4))
+    pen = PenaltySpec.adaptive_lasso(1.0, np.array([1.0]))
+    with pytest.raises(ValueError, match="pilot length 1 does not match p=2"):
+        SOLVERS[algorithm](data, QuantileLevels.single(0.5), pen)
+
+
 def test_pilot_algorithm_defaults_to_main_algorithm():
     data = _gaussian(10, 2, 0)
     req = FitRequest(data, QuantileLevels.single(0.5), algorithm="cd",
@@ -167,6 +175,26 @@ def test_wide_pilot_is_forward_selected_refit(algorithm, K):
                            algorithm="ip"))
     np.testing.assert_allclose(pilot[support], refit.coefficients, atol=0.05)
     assert list(np.flatnonzero(np.abs(reg.coefficients) > 1e-3)) == support
+
+
+@pytest.mark.parametrize("algorithm, tol", [("ip", 1e-8), ("admm", 1e-6),
+                                            ("mm", 1e-3)])
+@pytest.mark.parametrize("K", [1, 3])
+def test_wide_unregularized_fit_is_least_l2_interpolant(algorithm, tol, K):
+    # the module docstring's reason for not using this fit as the pilot;
+    # MM's tolerance is its smoothing constant eps_mm = 1e-4, with margin
+    rng = np.random.default_rng(5)
+    n, p = 30, 70
+    X = rng.normal(size=(n, p))
+    data = Dataset(X, X[:, :3] @ [1.0, -1.0, 0.5] + rng.normal(size=n))
+    levels = QuantileLevels.single(0.3) if K == 1 else QuantileLevels.grid(K)
+    stacked = np.hstack([np.kron(np.eye(K), np.ones((n, 1))),
+                         np.tile(X, (K, 1))])
+    least_l2 = np.linalg.pinv(stacked) @ np.tile(data.Y, K)
+    res = SOLVERS[algorithm](data, levels)
+    assert res.converged
+    theta = np.concatenate([res.intercepts, res.coefficients])
+    assert np.max(np.abs(theta - least_l2)) <= tol * (1.0 + np.max(np.abs(least_l2)))
 
 
 # ---------------------------------------------------------- solver agreement
