@@ -3,7 +3,6 @@
 from .admm import fit_admm
 from .cd import fit_cd
 from .core import (
-    CompositeDesign,
     ConvergenceError,
     Dataset,
     FitResult,
@@ -16,7 +15,6 @@ from .core import (
     penalty_value,
     sample_quantile,
     soft_threshold,
-    stack_composite,
     weighted_median,
 )
 from .io import ResultDocument, read_csv

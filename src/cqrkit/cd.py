@@ -20,7 +20,10 @@ Intercepts are exact one-dimensional minimizers: ``b_k`` is the level-
 ``tau_k`` sample quantile of ``y_i - x_i' beta``.
 
 A sweep updates all intercepts then all coordinates in ascending order;
-sweeps repeat until the largest parameter change drops under ``tol``.
+sweeps repeat until the largest parameter change drops under ``tol``.  The
+sweep keeps the residuals ``r_ik = y_i - b_k - x_i' beta`` as a (K, n)
+array in the level-major layout of ``core`` and returns them in
+``diagnostics["residuals"]``.
 
 Cyclic sweeps alone routinely terminate at coordinatewise-minimal points
 that are not global minima (the objective is piecewise linear, so descent
@@ -35,12 +38,14 @@ an exact minimizer when no edge descends, and is skipped above
 ``POLISH_MAX_DIM`` free parameters where penalized sweep output is already
 adequate for selection-style use.
 
-An unpenalized fit above ``POLISH_MAX_DIM`` is where that shortcut fails
-worst: at ``p >= n`` every interpolant attains objective 0 while the sweeps
-can stop well above it.  So there the sweep point reports ``converged`` only
-when it carries a subgradient certificate of optimality: multipliers
-``g_ik`` in ``[tau_k - 1, tau_k]`` on the zero residuals
-(``|r_ik| <= 1e-9 (1 + max|y|)``) that cancel the gradient
+An unpenalized fit needs a second line of defence where the polish does
+not end ``optimal``: above ``POLISH_MAX_DIM`` (at ``p >= n`` every
+interpolant attains objective 0 while the sweeps can stop well above it),
+and on rank-deficient designs (a duplicated column, a column equal to the
+intercept), where the walk can run out of pivots.  There the accepted
+point reports ``converged`` only when it carries a subgradient certificate
+of optimality: multipliers ``g_ik`` in ``[tau_k - 1, tau_k]`` on the zero
+residuals (``|r_ik| <= 1e-9 (1 + max|y|)``) that cancel the gradient
 ``sum tau_k - 1{r_ik < 0}`` of the nonzero ones in every intercept and
 coefficient direction.  Finding them is a bounded least-squares problem
 with ``K + p`` equations; when its residual is not roundoff, the fit
@@ -48,8 +53,6 @@ returns ``converged=False`` and ``diagnostics["reason"]`` says why.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -61,101 +64,58 @@ from .core import (
     PenaltySpec,
     QuantileLevels,
     SolverOptions,
-    adaptive_weights,
+    fidelity,
     penalty_terms,
     penalty_value,
     sample_quantile,
-    stack_composite,
+    stacked_fit,
+    stacked_tdot,
     weighted_median,
 )
 
-__all__ = ["CdState", "make_cd_state", "cd_intercept_update",
-           "cd_coordinate_update", "fit_cd", "POLISH_MAX_DIM"]
+__all__ = ["fit_cd", "POLISH_MAX_DIM"]
 
 # vertex refinement is cubic-ish in the parameter count; above this many
 # free parameters it is skipped
 POLISH_MAX_DIM = 64
 
 
-@dataclass
-class CdState:
-    """Snapshot of a coordinate-descent iterate.
+def _intercept_step(R, b, k, taus):
+    """Exact minimizer over ``b_k`` with the coefficients held.
 
-    ``residuals[i, k] = y_i - b_k - x_i' beta``; ``objective`` includes the
-    penalty term.
+    The level-``tau_k`` sample quantile of ``y_i - x_i' beta``, read off the
+    (K, n) residuals ``R`` at intercepts ``b``.
     """
-
-    beta: np.ndarray
-    intercepts: np.ndarray
-    residuals: np.ndarray
-    objective: float
+    return sample_quantile(R[k] + b[k], taus[k])
 
 
-def _fidelity(R, taus):
-    """Check-loss sum over an (n, K) residual matrix."""
-    return float(np.sum(R * (taus[None, :] - (R < 0.0))))
+def _coordinate_step(R, x_m, taus, beta_m, pseudo, fid, pen):
+    """Safeguarded weighted-median step for one coefficient.
 
-
-def make_cd_state(data: Dataset, levels: QuantileLevels, beta, intercepts,
-                  penalty: PenaltySpec | None = None) -> CdState:
-    """Build a consistent CdState from parameters."""
-    penalty = PenaltySpec.none() if penalty is None else penalty
-    beta = np.asarray(beta, dtype=float).copy()
-    intercepts = np.asarray(intercepts, dtype=float).copy()
-    R = data.Y[:, None] - intercepts[None, :] - (data.X @ beta)[:, None]
-    obj = _fidelity(R, levels.taus) + penalty_value(beta, penalty)
-    return CdState(beta=beta, intercepts=intercepts, residuals=R, objective=obj)
-
-
-def cd_intercept_update(state: CdState, data: Dataset, levels: QuantileLevels,
-                        k: int) -> float:
-    """Optimal intercept for level ``k`` given the current coefficients.
-
-    The sample quantile of ``y_i - x_i' beta`` at ``tau_k``; replacing
-    ``b_k`` with it cannot increase the objective.
+    ``R`` holds the (K, n) residuals at the current point, ``fid`` and
+    ``pen`` its fidelity and penalty, and ``pseudo`` the coefficient's
+    penalty weight ``lam w_m``.  Returns ``(beta_m, R, fid, pen)`` after the
+    step: at the weighted median of the breakpoints when that does not
+    increase the full objective, else unchanged.
     """
-    if not 0 <= k < levels.K:
-        raise ValueError(f"level index {k} out of range")
-    values = state.residuals[:, k] + state.intercepts[k]
-    return sample_quantile(values, levels.taus[k])
-
-
-def cd_coordinate_update(state: CdState, data: Dataset, levels: QuantileLevels,
-                         penalty: PenaltySpec, m: int) -> float:
-    """Safeguarded weighted-median update for coefficient ``m``.
-
-    Returns the accepted value: the weighted median of the breakpoints if it
-    does not increase the full objective, the current ``beta_m`` otherwise.
-    """
-    if not 0 <= m < data.p:
-        raise ValueError(f"coordinate index {m} out of range")
-    x_m = data.X[:, m]
-    if not np.any(x_m != 0.0):
-        raise ValueError(f"column {m} is identically zero")
-    if penalty.regularized:
-        weights, active = adaptive_weights(penalty.pilot)
-        pseudo = penalty.lam * weights[m]
-        if not active[m]:
-            return 0.0
-    else:
-        pseudo = 0.0
-    cand = _coordinate_candidate(state.residuals, x_m, levels.taus,
-                                 state.beta[m], pseudo)
-    new_R = state.residuals - (cand - state.beta[m]) * x_m[:, None]
-    new_beta = state.beta.copy()
-    new_beta[m] = cand
-    new_obj = _fidelity(new_R, levels.taus) + penalty_value(new_beta, penalty)
-    return cand if new_obj <= state.objective else state.beta[m]
+    cand = _coordinate_candidate(R, x_m, taus, beta_m, pseudo)
+    if cand != beta_m:
+        new_R = R - (cand - beta_m) * x_m[None, :]
+        new_fid = fidelity(new_R, taus)
+        new_pen = pen + pseudo * (abs(cand) - abs(beta_m))
+        if new_fid + new_pen <= fid + pen:
+            return cand, new_R, new_fid, new_pen
+    return beta_m, R, fid, pen
 
 
 def _coordinate_candidate(R, x_m, taus, beta_m, pseudo_weight):
     """Weighted median of the coordinate-m breakpoints (plus pseudo-point)."""
     rows = x_m != 0.0
-    Rm = R[rows]
+    Rm = R[:, rows]
     xm = x_m[rows]
-    z = Rm / xm[:, None] + beta_m                        # breakpoints z_ik
-    theta = np.where(Rm >= 0.0, taus[None, :], 1.0 - taus[None, :])
-    w = np.abs(xm)[:, None] * theta
+    z = Rm / xm[None, :] + beta_m                        # breakpoints z_ik
+    theta = np.where(Rm >= 0.0, taus[:, None], 1.0 - taus[:, None])
+    w = np.abs(xm)[None, :] * theta
     z = z.ravel()
     w = w.ravel()
     if pseudo_weight > 0.0:
@@ -295,42 +255,43 @@ def _vertex_polish(A, y, wpos, wneg, theta, max_pivots=1000, tight_tol=1e-9):
     return theta, pivots, "maxpivots"
 
 
-def _polish_rows(data, levels, penalty, active):
-    """Stacked rows, targets, and side weights of the polyhedral program."""
-    design = stack_composite(data, levels)
-    cols = np.concatenate([np.ones(levels.K, dtype=bool), active])
-    A = design.Xs[:, cols]
-    y = design.Ys.copy()
-    wpos = np.repeat(levels.taus, data.n)
+def _polish_rows(data, levels, pseudo, active, penalized):
+    """Stacked rows, targets, and side weights of the polyhedral program.
+
+    Level-major data rows over the intercepts and the ``active`` columns,
+    then, when ``penalized``, one row ``e_j`` per active column with target
+    0 and weight ``pseudo_j`` on both sides.
+    """
+    n, K = data.n, levels.K
+    A = np.hstack([np.kron(np.eye(K), np.ones((n, 1))),
+                   np.tile(data.X[:, active], (K, 1))])
+    y = np.tile(data.Y, K)
+    wpos = np.repeat(levels.taus, n)
     wneg = 1.0 - wpos
-    if penalty.regularized:
-        weights, _ = adaptive_weights(penalty.pilot)
+    if penalized:
         n_active = int(np.count_nonzero(active))
-        pen_rows = np.zeros((n_active, A.shape[1]))
-        pen_rows[np.arange(n_active), levels.K + np.arange(n_active)] = 1.0
-        A = np.vstack([A, pen_rows])
+        A = np.vstack([A, np.eye(K + n_active)[K:]])
         y = np.concatenate([y, np.zeros(n_active)])
-        pen_w = penalty.lam * weights[active]
-        wpos = np.concatenate([wpos, pen_w])
-        wneg = np.concatenate([wneg, pen_w])
+        wpos = np.concatenate([wpos, pseudo[active]])
+        wneg = np.concatenate([wneg, pseudo[active]])
     return A, y, wpos, wneg
 
 
 def _certificate_gap(X, Y, R, taus):
     """Distance from zero of the best unpenalized subgradient at ``R``.
 
-    ``X`` holds the free coefficient columns and ``R`` the (n, K) residuals.
+    ``X`` holds the free coefficient columns and ``R`` the (K, n) residuals.
     Rows with ``|r_ik|`` under the zero tolerance take multipliers in
     ``[tau_k - 1, tau_k]``; the others contribute ``tau_k - 1{r_ik < 0}``.
     Returns ``(gap, tol)``: the max-norm of the best stacked gradient over
     the box, found by bounded least squares, and the roundoff threshold under
     which it certifies a minimizer.
     """
-    n, K = R.shape
+    K, n = R.shape
     zero = np.abs(R) <= 1e-9 * (1.0 + float(np.max(np.abs(Y))))
-    psi = np.where(zero, 0.0, taus[None, :] - (R < 0.0))
-    fixed = np.concatenate([psi.sum(axis=0), X.T @ psi.sum(axis=1)])
-    rows, levels_of = np.nonzero(zero)
+    psi = np.where(zero, 0.0, taus[:, None] - (R < 0.0))
+    fixed = stacked_tdot(X, psi)
+    levels_of, rows = np.nonzero(zero)
     if rows.size:
         # one column per zero residual: its intercept indicator over its row
         M = np.zeros((K + X.shape[1], rows.size))
@@ -370,8 +331,8 @@ def fit_cd(data: Dataset, levels: QuantileLevels,
 
     beta = np.zeros(p)
     b = np.zeros(K)
-    R = Y[:, None] - b[None, :] - (X @ beta)[:, None]
-    fid = _fidelity(R, taus)
+    R = np.tile(Y, (K, 1))                # (K, n) residuals at the zero start
+    fid = fidelity(R, taus)
     pen = penalty_value(beta, penalty)
     max_increase = -np.inf
     converged = False
@@ -380,12 +341,11 @@ def fit_cd(data: Dataset, levels: QuantileLevels,
     for sweeps in range(1, opts.max_iter + 1):
         biggest = 0.0
         for k in range(K):
-            values = R[:, k] + b[k]
-            new_b = sample_quantile(values, taus[k])
+            new_b = _intercept_step(R, b, k, taus)
             if new_b != b[k]:
                 new_R = R.copy()
-                new_R[:, k] = values - new_b
-                new_fid = _fidelity(new_R, taus)
+                new_R[k] = R[k] + b[k] - new_b
+                new_fid = fidelity(new_R, taus)
                 max_increase = max(max_increase, new_fid - fid)
                 biggest = max(biggest, abs(new_b - b[k]))
                 b[k] = new_b
@@ -394,21 +354,12 @@ def fit_cd(data: Dataset, levels: QuantileLevels,
         for m in range(p):
             if not usable[m]:
                 continue
-            x_m = X[:, m]
-            cand = _coordinate_candidate(R, x_m, taus, beta[m], pseudo[m])
-            if cand == beta[m]:
-                continue
-            new_R = R - (cand - beta[m]) * x_m[:, None]
-            new_fid = _fidelity(new_R, taus)
-            new_pen = pen + pseudo[m] * (abs(cand) - abs(beta[m]))
-            # safeguard: keep the move only if the full objective does not rise
-            if new_fid + new_pen <= fid + pen:
+            value, new_R, new_fid, new_pen = _coordinate_step(
+                R, X[:, m], taus, beta[m], pseudo[m], fid, pen)
+            if value != beta[m]:
                 max_increase = max(max_increase, (new_fid + new_pen) - (fid + pen))
-                biggest = max(biggest, abs(cand - beta[m]))
-                beta[m] = cand
-                R = new_R
-                fid = new_fid
-                pen = new_pen
+                biggest = max(biggest, abs(value - beta[m]))
+                beta[m], R, fid, pen = value, new_R, new_fid, new_pen
         if biggest < opts.tol:
             converged = True
             break
@@ -417,14 +368,14 @@ def fit_cd(data: Dataset, levels: QuantileLevels,
     reason = None
     free_dim = K + int(np.count_nonzero(usable))
     if free_dim <= POLISH_MAX_DIM:
-        A, ys, wpos, wneg = _polish_rows(data, levels, penalty, usable)
+        A, ys, wpos, wneg = _polish_rows(data, levels, pseudo, usable, penalized)
         theta0 = np.concatenate([b, beta[usable]])
         theta, pivots, status = _vertex_polish(A, ys, wpos, wneg, theta0)
         cand_beta = np.zeros(p)
         cand_beta[usable] = theta[K:]
         cand_b = theta[:K]
-        cand_R = Y[:, None] - cand_b[None, :] - (X @ cand_beta)[:, None]
-        cand_fid = _fidelity(cand_R, taus)
+        cand_R = Y[None, :] - stacked_fit(X, np.concatenate([cand_b, cand_beta]))
+        cand_fid = fidelity(cand_R, taus)
         cand_pen = penalty_value(cand_beta, penalty)
         polish_info = {"pivots": pivots, "status": status,
                        "improvement": (fid + pen) - (cand_fid + cand_pen)}
@@ -432,19 +383,20 @@ def fit_cd(data: Dataset, levels: QuantileLevels,
         if cand_fid + cand_pen <= fid + pen:
             b, beta, R = cand_b, cand_beta, cand_R
             fid, pen = cand_fid, cand_pen
-    elif not penalized:
+    status = polish_info["status"]
+    if not penalized and status != "optimal":
         gap, gap_tol = _certificate_gap(X[:, usable], Y, R, taus)
         polish_info["certificate_gap"] = gap
         if gap > gap_tol:
             converged = False
-            reason = (f"sweep point is not a minimizer: best subgradient "
-                      f"{gap:.3g} exceeds {gap_tol:.3g} with {free_dim} free "
-                      f"parameters, above the polish limit {POLISH_MAX_DIM}")
+            where = (f"{free_dim} free parameters, above the polish limit "
+                     f"{POLISH_MAX_DIM}" if status == "skipped"
+                     else f"the vertex polish ended {status!r}")
+            reason = (f"accepted point is not a minimizer: best subgradient "
+                      f"{gap:.3g} exceeds {gap_tol:.3g} ({where})")
 
-    state = CdState(beta=beta.copy(), intercepts=b.copy(), residuals=R.copy(),
-                    objective=fid + pen)
     diagnostics = {
-        "state": state,
+        "residuals": R.copy(),
         "max_objective_increase": float(max_increase),
         "skipped_columns": np.nonzero(zero_cols)[0],
         "polish": polish_info,

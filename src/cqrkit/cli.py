@@ -24,7 +24,7 @@ from .io import (
     report_to_csv,
     report_to_json,
 )
-from .pipeline import SOLVERS, FitRequest, fit
+from .pipeline import SOLVERS, FitRequest, _solver, fit
 from .simlab import SimConfig, run_experiment
 
 EXIT_OK = 0
@@ -73,11 +73,11 @@ def _tau_list(text: str):
 
 def _algorithm_list(text: str):
     tags = tuple(part.strip() for part in text.split(",") if part.strip())
-    for tag in tags:
-        if tag not in SOLVERS:
-            raise argparse.ArgumentTypeError(
-                f"unknown algorithm {tag!r}; choose from "
-                f"{', '.join(sorted(SOLVERS))}")
+    try:
+        for tag in tags:
+            _solver(tag)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if not tags:
         raise argparse.ArgumentTypeError("at least one algorithm required")
     return tags

@@ -4,10 +4,15 @@ Everything downstream (the ADMM / MM / coordinate-descent / interior-point
 fitters, the two-stage adaptive pipeline, the simulation harness) speaks the
 small vocabulary defined here: a dataset, a grid of quantile levels, a penalty
 description, solver options, and a handful of numerical primitives (check
-loss, soft threshold, weighted median, composite stacking, adaptive weights
-and the penalty terms of a fit, and the blockwise Gram matrix
-``X*' diag(D) X*`` of the stacked design that the MM, ADMM and
-interior-point fitters factor).
+loss, soft threshold, weighted median, adaptive weights and the penalty terms
+of a fit).
+
+It also holds the composite problem in the level-major layout that all four
+fitters share, without ever forming the stacked design ``X*``:
+``fidelity`` is the check-loss sum over (K, n) residuals, ``stacked_fit``
+the product ``X* theta``, ``stacked_tdot`` the product ``X*' V``, and
+``stacked_gram`` the matrix ``X*' diag(D) X*`` that the MM, ADMM and
+interior-point fitters factor.
 
 Conventions
 -----------
@@ -17,7 +22,9 @@ Conventions
 * Residuals are always ``y - b - x' beta`` (data minus fit).
 * The stacked composite design is level-major: block ``k`` holds the ``n``
   observations at level ``tau_k``, so rows ``k*n`` through ``(k+1)*n - 1``
-  belong to level ``k``.
+  belong to level ``k``.  Residuals and row weights are (K, n) arrays, row
+  ``k`` for level ``k``; ``theta`` is the K intercepts, then the p
+  coefficients.
 """
 
 from __future__ import annotations
@@ -32,16 +39,17 @@ __all__ = [
     "PenaltySpec",
     "SolverOptions",
     "FitResult",
-    "CompositeDesign",
     "ConvergenceError",
     "check_loss",
     "soft_threshold",
     "weighted_median",
     "sample_quantile",
-    "stack_composite",
     "adaptive_weights",
     "penalty_terms",
     "penalty_value",
+    "fidelity",
+    "stacked_fit",
+    "stacked_tdot",
     "stacked_gram",
     "objective",
 ]
@@ -238,18 +246,6 @@ class FitResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-@dataclass
-class CompositeDesign:
-    """Stacked design for the composite problem (level-major row order)."""
-
-    Xs: np.ndarray
-    Ys: np.ndarray
-    taus: np.ndarray
-    n: int
-    p: int
-    K: int
-
-
 # ---------------------------------------------------------------------------
 # primitive operations
 # ---------------------------------------------------------------------------
@@ -325,25 +321,6 @@ def sample_quantile(values, tau):
     return float(np.partition(v, m - 1)[m - 1])
 
 
-def stack_composite(data: Dataset, levels: QuantileLevels) -> CompositeDesign:
-    """Build the stacked design for the composite problem.
-
-    The stacked matrix has shape ``(n*K, K + p)``: the first ``K`` columns are
-    level-intercept indicators, the remaining ``p`` repeat ``X`` within each
-    level block.  ``Ys`` tiles ``Y`` once per level and ``taus`` repeats each
-    level ``n`` times, so row ``k*n + i`` carries observation ``i`` at level
-    ``tau_k``.
-    """
-    n, p, K = data.n, data.p, levels.K
-    Xs = np.zeros((n * K, K + p))
-    for k in range(K):
-        Xs[k * n:(k + 1) * n, k] = 1.0
-        Xs[k * n:(k + 1) * n, K:] = data.X
-    Ys = np.tile(data.Y, K)
-    taus = np.repeat(levels.taus, n)
-    return CompositeDesign(Xs=Xs, Ys=Ys, taus=taus, n=n, p=p, K=K)
-
-
 def adaptive_weights(pilot, floor: float = PILOT_FLOOR):
     """Adaptive-lasso weights ``1 / pilot**2`` with tiny pilots marked inactive.
 
@@ -380,6 +357,25 @@ def penalty_terms(penalty: PenaltySpec, p: int):
     return weights, active
 
 
+def fidelity(R, taus) -> float:
+    """Check-loss sum ``sum_k sum_i rho_{tau_k}(R[k, i])`` of (K, n) residuals."""
+    return float(np.sum(R * (taus[:, None] - (R < 0.0))))
+
+
+def stacked_fit(X, theta):
+    """``X* theta`` as a (K, n) array: ``theta[k] + X theta[K:]`` in row ``k``.
+
+    ``K`` is the length of ``theta`` beyond the ``p`` columns of ``X``.
+    """
+    K = theta.size - X.shape[1]
+    return theta[:K, None] + (X @ theta[K:])[None, :]
+
+
+def stacked_tdot(X, V):
+    """``X*' V`` for a (K, n) array ``V``: ``[V 1, X' (1' V)]``, length K + p."""
+    return np.concatenate([V.sum(axis=1), X.T @ V.sum(axis=0)])
+
+
 def stacked_gram(X, D):
     """``X*' diag(D) X*`` for the stacked composite design, built blockwise.
 
@@ -398,12 +394,10 @@ def stacked_gram(X, D):
 
 def penalty_value(beta, penalty: PenaltySpec) -> float:
     """Penalty term at ``beta``; +inf if an inactive coordinate is nonzero."""
-    if penalty.kind == "none":
+    if not penalty.regularized:
         return 0.0
     beta = np.asarray(beta, dtype=float)
-    weights, active = adaptive_weights(penalty.pilot)
-    if beta.shape != weights.shape:
-        raise ValueError(f"beta has length {beta.size}, pilot has {weights.size}")
+    weights, active = penalty_terms(penalty, beta.size)
     if np.any(beta[~active] != 0.0):
         return float("inf")
     return float(penalty.lam * np.sum(weights[active] * np.abs(beta[active])))
@@ -423,7 +417,5 @@ def objective(data: Dataset, intercepts, beta, levels: QuantileLevels,
         raise ValueError(f"expected beta of length {data.p}, got {beta.shape}")
     if not (np.all(np.isfinite(intercepts)) and np.all(np.isfinite(beta))):
         raise ValueError("parameters must be finite")
-    R = data.Y[None, :] - intercepts[:, None] - (data.X @ beta)[None, :]
-    taus = levels.taus[:, None]
-    fidelity = float(np.sum(R * (taus - (R < 0.0))))
-    return fidelity + penalty_value(beta, penalty)
+    R = data.Y[None, :] - stacked_fit(data.X, np.concatenate([intercepts, beta]))
+    return fidelity(R, levels.taus) + penalty_value(beta, penalty)

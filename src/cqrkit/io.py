@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io as _stringio
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -204,20 +204,11 @@ REPORT_COLUMNS = ["n", "p", "algorithm", "mean_error", "mean_N_T",
                   "mean_N_F", "mean_seconds", "reps", "failures", "flagged"]
 
 
-def _row_dict(row: SimRow) -> dict:
-    return {
-        "n": row.n, "p": row.p, "algorithm": row.algorithm,
-        "mean_error": row.mean_error, "mean_N_T": row.mean_N_T,
-        "mean_N_F": row.mean_N_F, "mean_seconds": row.mean_seconds,
-        "reps": row.reps, "failures": row.failures, "flagged": row.flagged,
-    }
-
-
 def report_to_json(report: SimReport) -> str:
     return json.dumps({
         "schema_version": SCHEMA_VERSION,
         "metadata": report.metadata,
-        "rows": [_row_dict(row) for row in report.rows],
+        "rows": [asdict(row) for row in report.rows],
     }, indent=2)
 
 

@@ -31,7 +31,12 @@ and weight ``2 lam w_j``, whose check loss is ``lam w_j |beta_j|``.
 Inactive coefficients are dropped from the design, which pins them at zero.
 
 The fit converges when the duality gap ``a'z + (u - a)'w`` is at most
-``GAP_TOL (1 + |primal|)``, the primal value being the dual's plus the gap.
+``GAP_TOL (unit + |primal|)``, the primal value being the dual's plus the
+gap.  ``unit`` is the largest least-squares residual of a data row at the
+start, or ``max|y|`` when that fit is exact to roundoff; the starting
+multipliers are floored at ``START_FLOOR unit``.  All of these carry the
+response's units, so scaling ``y`` scales the iterates and leaves the
+iteration count unchanged.
 """
 
 from __future__ import annotations
@@ -47,7 +52,9 @@ from .core import (
     SolverOptions,
     objective,
     penalty_terms,
+    stacked_fit,
     stacked_gram,
+    stacked_tdot,
 )
 
 __all__ = ["fit_ip"]
@@ -55,7 +62,8 @@ __all__ = ["fit_ip"]
 GAP_TOL = 1e-8
 #: fraction of the distance to the boundary an iterate may move (quantreg's beta)
 STEP = 0.99995
-#: floor on both multipliers of a row whose starting residual is this small
+#: floor, in the stopping rule's unit, on both multipliers of a row whose
+#: starting residual is this small
 START_FLOOR = 1e-6
 
 
@@ -84,12 +92,10 @@ def fit_ip(data: Dataset, levels: QuantileLevels,
     rows = np.nonzero(pen > 0.0)[0]       # active columns with a penalty row
 
     def design(theta):                    # X* theta
-        fit = theta[:K, None] + (X @ theta[K:])[None, :]
-        return np.concatenate([fit.ravel(), theta[K:][rows]])
+        return np.concatenate([stacked_fit(X, theta).ravel(), theta[K:][rows]])
 
     def design_t(v):                      # X*' v
-        V = v[:nK].reshape(K, n)
-        out = np.concatenate([V.sum(axis=1), X.T @ V.sum(axis=0)])
+        out = stacked_tdot(X, v[:nK].reshape(K, n))
         out[K + rows] += v[nK:]
         return out
 
@@ -125,7 +131,14 @@ def fit_ip(data: Dataset, levels: QuantileLevels,
 
     theta = newton_solver(G)(design_t(ys))   # minimum-norm least squares
     r = ys - design(theta)
-    floor = np.where(np.abs(r) < START_FLOOR, START_FLOOR, 0.0)
+    # units of the stopping rule and the floor: the largest least-squares
+    # residual, which y + X gamma leaves alone, or max|y| where that fit is
+    # exact to roundoff (an interpolant at p >= n)
+    unit = float(np.max(np.abs(r[:nK])))
+    ymax = float(np.max(np.abs(data.Y)))
+    if unit <= 1e-10 * ymax:
+        unit = ymax or 1.0
+    floor = np.where(np.abs(r) < START_FLOOR * unit, START_FLOOR * unit, 0.0)
     z = np.maximum(-r, 0.0) + floor
     w = np.maximum(r, 0.0) + floor
 
@@ -134,7 +147,7 @@ def fit_ip(data: Dataset, levels: QuantileLevels,
     while True:
         gap = float(a @ z + s @ w)
         dual_value = float(ys @ (a - u * (1.0 - tau)))
-        converged = gap <= GAP_TOL * (1.0 + abs(dual_value + gap))
+        converged = gap <= GAP_TOL * (unit + abs(dual_value + gap))
         if converged or iterations == cap:
             break
         iterations += 1

@@ -37,6 +37,7 @@ from .core import (
     QuantileLevels,
     SolverOptions,
     check_loss,
+    fidelity,
     objective,
     penalty_terms,
     stacked_gram,
@@ -115,9 +116,7 @@ def fit_mm(data: Dataset, levels: QuantileLevels,
     R = np.tile(Y, (K, 1)) - (X @ theta[K:])[None, :]   # residuals r_ik, (K, n)
 
     def surrogate_objective(th, residuals):
-        val = 0.0
-        for k in range(K):
-            val += np.sum(check_loss(residuals[k], taus[k]))
+        val = fidelity(residuals, taus)
         val -= 0.5 * eps * np.sum(np.log(eps + np.abs(residuals)))
         if penalized:
             live = active & ~frozen

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ConvergenceError, Dataset, QuantileLevels
-from .pipeline import SOLVERS, FitRequest, fit
+from .pipeline import FitRequest, _solver, fit
 
 __all__ = [
     "SimConfig",
@@ -68,16 +68,15 @@ class SimConfig:
         if not self.algorithms:
             raise ValueError("at least one algorithm required")
         for tag in self.algorithms:
-            if tag not in SOLVERS:
-                raise ValueError(f"unknown algorithm {tag!r}")
+            _solver(tag)
         if self.true_support_size is None:
             self.true_support_size = self.p
         if not 0 <= self.true_support_size <= self.p:
             raise ValueError("true_support_size must lie in [0, p]")
         if self.selection_threshold < 0:
             raise ValueError("selection_threshold must be nonnegative")
-        if self.pilot_algorithm is not None and self.pilot_algorithm not in SOLVERS:
-            raise ValueError(f"unknown algorithm {self.pilot_algorithm!r}")
+        if self.pilot_algorithm is not None:
+            _solver(self.pilot_algorithm)
         if self.lam is not None and not self.regularized:
             raise ValueError("lam given but regularized is False")
         if self.regularized and self.lam is None:

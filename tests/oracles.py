@@ -9,7 +9,24 @@ from itertools import combinations
 
 import numpy as np
 
-from cqrkit import Dataset, QuantileLevels, sample_quantile, stack_composite
+from cqrkit import Dataset, QuantileLevels, sample_quantile
+
+
+def stack_composite(data: Dataset, levels: QuantileLevels):
+    """Materialized stacked design of the composite problem.
+
+    Returns ``(Xs, Ys, taus)``.  ``Xs`` has shape ``(n*K, K + p)``: the first
+    ``K`` columns are level-intercept indicators, the remaining ``p`` repeat
+    ``X`` within each level block.  ``Ys`` tiles ``Y`` once per level and
+    ``taus`` repeats each level ``n`` times, so row ``k*n + i`` carries
+    observation ``i`` at level ``tau_k`` (the level-major layout).
+    """
+    n, p, K = data.n, data.p, levels.K
+    Xs = np.zeros((n * K, K + p))
+    for k in range(K):
+        Xs[k * n:(k + 1) * n, k] = 1.0
+        Xs[k * n:(k + 1) * n, K:] = data.X
+    return Xs, np.tile(data.Y, K), np.repeat(levels.taus, n)
 
 
 def stacked_objective_loop(A, b, taus, theta):
@@ -40,8 +57,7 @@ def qr_exact(data: Dataset, levels: QuantileLevels, batch: int = 40000):
 
     Returns ``(theta, objective)`` with ``theta = (intercepts..., beta...)``.
     """
-    design = stack_composite(data, levels)
-    A, b, taus = design.Xs, design.Ys, design.taus
+    A, b, taus = stack_composite(data, levels)
     N, d = A.shape
     if N < d:
         raise ValueError("underdetermined stacked problem; enumeration needs nK >= K + p")

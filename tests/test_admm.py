@@ -11,11 +11,15 @@ from cqrkit import (
     SolverOptions,
     objective,
     sample_quantile,
+)
+from cqrkit.admm import _cd_quadratic, fit_admm
+
+from oracles import (
+    check_loss_scalar,
+    penalized_qr_1d_exact,
+    qr_exact,
     stack_composite,
 )
-from cqrkit.admm import AdmmState, admm_stopping, fit_admm, penalized_ls
-
-from oracles import check_loss_scalar, penalized_qr_1d_exact, qr_exact
 
 # tight enough that fits land essentially on the exact optimum
 TIGHT = SolverOptions(eps_abs=1e-8, eps_rel=1e-10, max_iter=200000)
@@ -149,80 +153,58 @@ def test_first_iteration_matches_stacked_formulas():
     res = fit_admm(data, levels, options=opts)
     state = res.diagnostics["state"]
 
-    design = stack_composite(data, levels)
+    Xs, Ys, taus = stack_composite(data, levels)
     rho = opts.rho
-    c = design.Ys.copy()
-    shifted = c - (2.0 * design.taus - 1.0) / (2.0 * rho)
+    c = Ys.copy()
+    shifted = c - (2.0 * taus - 1.0) / (2.0 * rho)
     r1 = np.sign(shifted) * np.maximum(np.abs(shifted) - 0.5 / rho, 0.0)
-    theta1 = np.linalg.solve(design.Xs.T @ design.Xs,
-                             design.Xs.T @ (design.Ys - r1))
-    u1 = rho * (design.Ys - r1 - design.Xs @ theta1)
+    theta1 = np.linalg.solve(Xs.T @ Xs, Xs.T @ (Ys - r1))
+    u1 = rho * (Ys - r1 - Xs @ theta1)
     assert_allclose(state.r, r1, atol=1e-10)
     assert_allclose(state.beta, theta1, atol=1e-10)
     assert_allclose(state.u, u1, atol=1e-10)
 
 
-def _direct_stopping(state, design, opts):
+def _direct_stopping(state, data, levels, opts):
     """Independent transcription of the two stopping displays."""
-    K = design.K
-    fit = design.Xs @ state.beta
-    r_primal = design.Ys - fit - state.r
+    Xs, Ys, _ = stack_composite(data, levels)
+    K = levels.K
+    fit = Xs @ state.beta
+    r_primal = Ys - fit - state.r
     dr = state.r - state.r_prev
     if state.penalized:
-        Xstar = design.Xs[:, K:]
+        Xstar = Xs[:, K:]
         r_dual = opts.rho * (Xstar.T @ dr)
         scale = max(np.linalg.norm(Xstar @ state.beta[K:]) ** 2,
                     np.linalg.norm(state.r) ** 2,
-                    np.linalg.norm(design.Xs[:, :K] @ state.beta[:K] - design.Ys) ** 2)
+                    np.linalg.norm(Xs[:, :K] @ state.beta[:K] - Ys) ** 2)
     else:
-        r_dual = opts.rho * (design.Xs.T @ dr)
+        r_dual = opts.rho * (Xs.T @ dr)
         scale = max(np.linalg.norm(fit) ** 2,
                     np.linalg.norm(state.r) ** 2,
-                    np.linalg.norm(design.Ys) ** 2)
+                    np.linalg.norm(Ys) ** 2)
     ep = np.sqrt(r_primal.size) * opts.eps_abs + opts.eps_rel * scale
     ed = (np.sqrt(r_dual.size) * opts.eps_abs
-          + opts.eps_rel * np.linalg.norm(design.Xs.T @ state.u) ** 2)
+          + opts.eps_rel * np.linalg.norm(Xs.T @ state.u) ** 2)
     stop = np.linalg.norm(r_primal) <= ep and np.linalg.norm(r_dual) <= ed
     return stop, ep, ed
 
 
 @pytest.mark.parametrize("penalized", [False, True])
 def test_admm_stopping_matches_direct_recomputation(penalized):
+    # the loop's blockwise rule, read back from fits stopped early and late
     rng = np.random.default_rng(23)
     data = Dataset(rng.standard_normal((9, 3)), rng.standard_normal(9))
     levels = QuantileLevels(np.array([0.2, 0.8]))
-    design = stack_composite(data, levels)
-    opts = SolverOptions()
-    for _ in range(20):
-        state = AdmmState(beta=rng.standard_normal(5),
-                          r=rng.standard_normal(18),
-                          u=rng.standard_normal(18),
-                          iteration=3,
-                          r_prev=rng.standard_normal(18),
-                          penalized=penalized)
-        stop, ep, ed = admm_stopping(state, design, opts)
-        stop2, ep2, ed2 = _direct_stopping(state, design, opts)
-        assert stop == stop2
-        assert ep == pytest.approx(ep2, rel=1e-12)
-        assert ed == pytest.approx(ed2, rel=1e-12)
-
-
-def test_zero_residual_change_gives_zero_dual():
-    rng = np.random.default_rng(27)
-    data = Dataset(rng.standard_normal((5, 1)), rng.standard_normal(5))
-    design = stack_composite(data, QuantileLevels.single(0.4))
-    r = rng.standard_normal(5)
-    state = AdmmState(beta=rng.standard_normal(2), r=r, u=np.zeros(5),
-                      iteration=1, r_prev=r.copy(), penalized=False)
-    _, _, ed = admm_stopping(state, design, SolverOptions(eps_abs=0.0))
-    assert ed == 0.0   # eps_dual collapses when u = 0 and eps_abs = 0
-    fit = design.Xs @ state.beta
-    # feasible state with zero dual movement stops at any positive eps_abs
-    state2 = AdmmState(beta=state.beta, r=design.Ys - fit, u=np.zeros(5),
-                       iteration=1, r_prev=(design.Ys - fit).copy(),
-                       penalized=False)
-    stop, _, _ = admm_stopping(state2, design, SolverOptions())
-    assert stop
+    pen = PenaltySpec.adaptive_lasso(0.5, rng.standard_normal(3) + 1.5) if penalized else None
+    for max_iter in (1, 5, 50, 5000):
+        opts = SolverOptions(max_iter=max_iter)
+        res = fit_admm(data, levels, pen, opts)
+        stop, ep, ed = _direct_stopping(res.diagnostics["state"], data, levels, opts)
+        assert stop == res.converged
+        assert ep == pytest.approx(res.diagnostics["eps_primal"], rel=1e-12)
+        assert ed == pytest.approx(res.diagnostics["eps_dual"], rel=1e-12)
+    assert res.converged
 
 
 def test_converged_fit_passes_its_own_stopping_rule():
@@ -234,9 +216,8 @@ def test_converged_fit_passes_its_own_stopping_rule():
     for pen in (None, PenaltySpec.adaptive_lasso(1.0, np.array([1.0, 0.8]))):
         res = fit_admm(data, levels, pen, SolverOptions())
         assert res.converged
-        design = stack_composite(data, levels)
         state = res.diagnostics["state"]
-        stop, ep, ed = admm_stopping(state, design, SolverOptions())
+        stop, ep, ed = _direct_stopping(state, data, levels, SolverOptions())
         assert stop
         assert ep == pytest.approx(res.diagnostics["eps_primal"], rel=1e-9)
         assert ed == pytest.approx(res.diagnostics["eps_dual"], rel=1e-9)
@@ -252,14 +233,25 @@ def test_default_options_converge_on_moderate_problem():
 
 
 # ---------------------------------------------------------------------------
-# penalized_ls
+# penalized least squares: _cd_quadratic, the loop's inner weighted-lasso solve
 # ---------------------------------------------------------------------------
+
+def _penalized_ls(A, b, lam, weights, active=None, rho=1.0, tol=1e-8,
+                  max_sweeps=1000):
+    """argmin (rho/2)||b - A x||^2 + lam sum_j weights_j |x_j| from zero."""
+    d = A.shape[1]
+    active = np.ones(d, dtype=bool) if active is None else active
+    x = np.zeros(d)
+    _cd_quadratic(A.T @ A, A.T @ b, lam * np.asarray(weights) / rho, active,
+                  x, tol, max_sweeps)
+    return x
+
 
 def test_penalized_ls_zero_lambda_is_ols():
     rng = np.random.default_rng(35)
     A = rng.standard_normal((12, 3))
     b = rng.standard_normal(12)
-    x = penalized_ls(A, b, 0.0, np.zeros(3), tol=1e-12, max_sweeps=5000)
+    x = _penalized_ls(A, b, 0.0, np.zeros(3), tol=1e-12, max_sweeps=5000)
     ols, *_ = np.linalg.lstsq(A, b, rcond=None)
     assert_allclose(x, ols, atol=1e-6)
 
@@ -269,7 +261,7 @@ def test_penalized_ls_identity_design_soft_thresholds():
     b = rng.standard_normal(4)
     w = np.array([0.5, 1.0, 2.0, 0.0])
     lam = 0.8
-    x = penalized_ls(np.eye(4), b, lam, w, rho=1.0)
+    x = _penalized_ls(np.eye(4), b, lam, w, rho=1.0)
     want = np.sign(b) * np.maximum(np.abs(b) - lam * w, 0.0)
     assert_allclose(x, want, atol=1e-12)
     # grid check, coordinate by coordinate
@@ -280,20 +272,13 @@ def test_penalized_ls_identity_design_soft_thresholds():
 
 
 def test_penalized_ls_all_inactive_still_solves_intercept():
+    # the intercept column is unpenalized (weight 0); the covariate is inactive
     A = np.column_stack([np.ones(5), np.arange(5.0)])
     b = 3.0 + np.zeros(5)
-    x = penalized_ls(A, b, 1.0, np.array([0.0, 1.0]),
-                     active=np.array([True, False]), unpenalized_count=1)
+    x = _penalized_ls(A, b, 1.0, np.array([0.0, 1.0]),
+                      active=np.array([True, False]))
     assert x[1] == 0.0
     assert x[0] == pytest.approx(3.0, abs=1e-8)
-
-
-def test_penalized_ls_zero_column_flagged():
-    A = np.column_stack([np.ones(4), np.zeros(4)])
-    with pytest.warns(RuntimeWarning):
-        x = penalized_ls(A, np.ones(4), 0.5, np.array([0.0, 1.0]),
-                         unpenalized_count=1)
-    assert x[1] == 0.0
 
 
 def test_penalized_ls_deterministic():
@@ -301,6 +286,6 @@ def test_penalized_ls_deterministic():
     A = rng.standard_normal((20, 5))
     b = rng.standard_normal(20)
     w = rng.uniform(0.5, 2.0, 5)
-    x1 = penalized_ls(A, b, 0.7, w, rho=1.3)
-    x2 = penalized_ls(A, b, 0.7, w, rho=1.3)
+    x1 = _penalized_ls(A, b, 0.7, w, rho=1.3)
+    x2 = _penalized_ls(A, b, 0.7, w, rho=1.3)
     assert np.array_equal(x1, x2)

@@ -16,21 +16,20 @@ from cqrkit import (
     QuantileLevels,
     SolverOptions,
     objective,
-    stack_composite,
+    penalty_value,
     weighted_median,
 )
 from cqrkit.cd import (
     POLISH_MAX_DIM,
     _certificate_gap,
-    cd_coordinate_update,
-    cd_intercept_update,
+    _coordinate_step,
+    _intercept_step,
     fit_cd,
-    make_cd_state,
 )
 from cqrkit.ip import fit_ip
 from cqrkit.pipeline import FitRequest, fit
 
-from oracles import penalized_qr_1d_exact, qr_exact
+from oracles import penalized_qr_1d_exact, qr_exact, stack_composite
 
 NONE = PenaltySpec.none()
 
@@ -39,14 +38,33 @@ def _total(data, levels, beta, intercepts, penalty=NONE):
     return objective(data, intercepts, beta, levels, penalty)
 
 
+def _residuals(data, beta, intercepts):
+    """(K, n) residuals ``y_i - b_k - x_i' beta``, the sweep's layout."""
+    return data.Y[None, :] - intercepts[:, None] - (data.X @ beta)[None, :]
+
+
+def _intercept(data, levels, beta, intercepts, k):
+    """The sweep's intercept step for level ``k`` at ``(intercepts, beta)``."""
+    return _intercept_step(_residuals(data, beta, intercepts), intercepts, k,
+                           levels.taus)
+
+
+def _coordinate(data, levels, beta, intercepts, m, penalty=NONE):
+    """The sweep's safeguarded step for coefficient ``m``; returns its value."""
+    pseudo = penalty.lam / penalty.pilot[m] ** 2 if penalty.regularized else 0.0
+    fid = _total(data, levels, beta, intercepts)
+    return _coordinate_step(_residuals(data, beta, intercepts), data.X[:, m],
+                            levels.taus, beta[m], pseudo, fid,
+                            penalty_value(beta, penalty))[0]
+
+
 # ---------------------------------------------------------------- intercepts
 
 def test_intercept_update_is_median():
     data = Dataset(np.zeros((3, 1)) + [[1.0], [1.0], [1.0]],
                    np.array([1.0, 2.0, 3.0]))
-    state = make_cd_state(data, QuantileLevels.single(0.5),
-                          np.zeros(1), np.zeros(1))
-    assert cd_intercept_update(state, data, QuantileLevels.single(0.5), 0) == 2.0
+    assert _intercept(data, QuantileLevels.single(0.5),
+                      np.zeros(1), np.zeros(1), 0) == 2.0
 
 
 def test_intercept_update_idempotent_on_perfect_fit():
@@ -55,8 +73,7 @@ def test_intercept_update_idempotent_on_perfect_fit():
     beta = np.array([0.5, -1.0])
     data = Dataset(X, X @ beta + 0.7)
     levels = QuantileLevels.single(0.3)
-    state = make_cd_state(data, levels, beta, np.array([0.7]))
-    assert cd_intercept_update(state, data, levels, 0) == pytest.approx(0.7)
+    assert _intercept(data, levels, beta, np.array([0.7]), 0) == pytest.approx(0.7)
 
 
 def test_intercept_update_never_increases_objective():
@@ -68,11 +85,10 @@ def test_intercept_update_never_increases_objective():
         levels = QuantileLevels.grid(int(rng.integers(1, 4)))
         beta = rng.normal(size=2)
         b = rng.normal(size=levels.K)
-        state = make_cd_state(data, levels, beta, b)
         k = int(rng.integers(levels.K))
         before = _total(data, levels, beta, b)
         b2 = b.copy()
-        b2[k] = cd_intercept_update(state, data, levels, k)
+        b2[k] = _intercept(data, levels, beta, b, k)
         assert _total(data, levels, beta, b2) <= before + 1e-12
 
 
@@ -85,19 +101,10 @@ def test_intercept_update_perturbation_optimality():
         tau = float(rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
         levels = QuantileLevels.single(tau)
         beta = rng.normal(size=1)
-        state = make_cd_state(data, levels, beta, rng.normal(size=1))
-        b_new = np.array([cd_intercept_update(state, data, levels, 0)])
+        b_new = np.array([_intercept(data, levels, beta, rng.normal(size=1), 0)])
         base = _total(data, levels, beta, b_new)
         for delta in (1e-3, -1e-3):
             assert _total(data, levels, beta, b_new + delta) >= base - 1e-12
-
-
-def test_intercept_update_bad_index():
-    data = Dataset(np.ones((3, 1)), np.arange(3.0))
-    levels = QuantileLevels.single(0.5)
-    state = make_cd_state(data, levels, np.zeros(1), np.zeros(1))
-    with pytest.raises(ValueError):
-        cd_intercept_update(state, data, levels, 1)
 
 
 # --------------------------------------------------------------- coordinates
@@ -106,8 +113,7 @@ def test_coordinate_update_hand_example():
     # x = (1,1,1): breakpoints are y themselves with equal weights
     data = Dataset(np.ones((3, 1)), np.array([1.0, 2.0, 3.0]))
     levels = QuantileLevels.single(0.5)
-    state = make_cd_state(data, levels, np.zeros(1), np.zeros(1))
-    assert cd_coordinate_update(state, data, levels, NONE, 0) == 2.0
+    assert _coordinate(data, levels, np.zeros(1), np.zeros(1), 0) == 2.0
 
 
 def test_coordinate_update_huge_penalty_returns_zero():
@@ -116,9 +122,8 @@ def test_coordinate_update_huge_penalty_returns_zero():
     data = Dataset(X, X @ np.array([2.0, -1.0]) + rng.normal(size=20))
     levels = QuantileLevels.single(0.5)
     pen = PenaltySpec.adaptive_lasso(1e8, np.ones(2))
-    state = make_cd_state(data, levels, np.array([2.0, -1.0]),
-                          np.zeros(1), pen)
-    assert cd_coordinate_update(state, data, levels, pen, 0) == 0.0
+    assert _coordinate(data, levels, np.array([2.0, -1.0]), np.zeros(1), 0,
+                       pen) == 0.0
 
 
 def test_coordinate_update_matches_hand_built_median():
@@ -134,7 +139,6 @@ def test_coordinate_update_matches_hand_built_median():
         levels = QuantileLevels.grid(int(rng.integers(1, 3)))
         beta = rng.normal(size=p)
         b = rng.normal(size=levels.K)
-        state = make_cd_state(data, levels, beta, b)
         m = int(rng.integers(p))
         z, w = [], []
         for k, tau in enumerate(levels.taus):
@@ -147,10 +151,10 @@ def test_coordinate_update_matches_hand_built_median():
                 theta = tau if r_ik >= 0 else 1.0 - tau
                 w.append(abs(X[i, m]) * theta)
         med = weighted_median(np.array(z), np.array(w))
-        got = cd_coordinate_update(state, data, levels, NONE, m)
+        got = _coordinate(data, levels, beta, b, m)
         beta_med = beta.copy()
         beta_med[m] = med
-        margin = _total(data, levels, beta_med, b) - state.objective
+        margin = _total(data, levels, beta_med, b) - _total(data, levels, beta, b)
         if margin < -1e-9:
             assert got == pytest.approx(med, rel=1e-9, abs=1e-12)
             checked += 1
@@ -172,16 +176,16 @@ def test_coordinate_update_safeguard_rejects_increase():
         levels = QuantileLevels.single(tau)
         beta = rng.normal(size=2)
         b = rng.normal(size=1)
-        state = make_cd_state(data, levels, beta, b)
         m = int(rng.integers(2))
         xm = X[:, m]
-        z = (state.residuals[:, 0] / xm) + beta[m]
-        theta = np.where(state.residuals[:, 0] >= 0, tau, 1 - tau)
+        r = data.Y - b[0] - X @ beta
+        z = (r / xm) + beta[m]
+        theta = np.where(r >= 0, tau, 1 - tau)
         med = weighted_median(z, np.abs(xm) * theta)
         beta_med = beta.copy()
         beta_med[m] = med
-        if _total(data, levels, beta_med, b) > state.objective + 1e-9:
-            got = cd_coordinate_update(state, data, levels, NONE, m)
+        if _total(data, levels, beta_med, b) > _total(data, levels, beta, b) + 1e-9:
+            got = _coordinate(data, levels, beta, b, m)
             assert got == beta[m]
             found = True
             break
@@ -198,12 +202,11 @@ def test_coordinate_update_never_increases_objective():
         levels = QuantileLevels.grid(int(rng.integers(1, 3)))
         beta = rng.normal(size=p)
         b = rng.normal(size=levels.K)
-        state = make_cd_state(data, levels, beta, b)
         m = int(rng.integers(p))
-        new = cd_coordinate_update(state, data, levels, NONE, m)
+        new = _coordinate(data, levels, beta, b, m)
         beta2 = beta.copy()
         beta2[m] = new
-        assert _total(data, levels, beta2, b) <= state.objective + 1e-12
+        assert _total(data, levels, beta2, b) <= _total(data, levels, beta, b) + 1e-12
 
 
 def test_coordinate_update_lambda_zero_matches_unregularized():
@@ -215,21 +218,9 @@ def test_coordinate_update_lambda_zero_matches_unregularized():
         beta = rng.normal(size=2)
         b = rng.normal(size=1)
         pen0 = PenaltySpec.adaptive_lasso(0.0, rng.normal(size=2) + 2.0)
-        state_a = make_cd_state(data, levels, beta, b)
-        state_b = make_cd_state(data, levels, beta, b, pen0)
         m = int(rng.integers(2))
-        assert (cd_coordinate_update(state_a, data, levels, NONE, m)
-                == cd_coordinate_update(state_b, data, levels, pen0, m))
-
-
-def test_coordinate_update_zero_column_rejected():
-    X = np.ones((4, 2))
-    X[:, 1] = 0.0
-    data = Dataset(X, np.arange(4.0))
-    levels = QuantileLevels.single(0.5)
-    state = make_cd_state(data, levels, np.zeros(2), np.zeros(1))
-    with pytest.raises(ValueError):
-        cd_coordinate_update(state, data, levels, NONE, 1)
+        assert (_coordinate(data, levels, beta, b, m)
+                == _coordinate(data, levels, beta, b, m, pen0))
 
 
 # ----------------------------------------------------------------- full fits
@@ -309,12 +300,10 @@ def test_fit_monotone_and_consistent():
             pen = PenaltySpec.adaptive_lasso(0.5, rng.normal(size=p) + 1.5)
         res = fit_cd(data, levels, pen, SolverOptions(tol=1e-6))
         assert res.diagnostics["max_objective_increase"] <= 1e-10
-        state = res.diagnostics["state"]
         recomputed = _total(data, levels, res.coefficients, res.intercepts, pen)
         assert res.objective == pytest.approx(recomputed, abs=1e-9)
-        R = (data.Y[:, None] - res.intercepts[None, :]
-             - (data.X @ res.coefficients)[:, None])
-        np.testing.assert_allclose(state.residuals, R, atol=1e-9)
+        R = _residuals(data, res.coefficients, res.intercepts)
+        np.testing.assert_allclose(res.diagnostics["residuals"], R, atol=1e-9)
 
 
 def test_fit_fixed_point_no_single_update_improves():
@@ -324,14 +313,13 @@ def test_fit_fixed_point_no_single_update_improves():
     levels = QuantileLevels.grid(2)
     opts = SolverOptions(tol=1e-8)
     res = fit_cd(data, levels, options=opts)
-    state = make_cd_state(data, levels, res.coefficients, res.intercepts)
-    base = state.objective
+    base = _total(data, levels, res.coefficients, res.intercepts)
     for k in range(levels.K):
         b2 = res.intercepts.copy()
-        b2[k] = cd_intercept_update(state, data, levels, k)
+        b2[k] = _intercept(data, levels, res.coefficients, res.intercepts, k)
         assert base - _total(data, levels, res.coefficients, b2) <= opts.tol
     for m in range(data.p):
-        cand = cd_coordinate_update(state, data, levels, NONE, m)
+        cand = _coordinate(data, levels, res.coefficients, res.intercepts, m)
         beta2 = res.coefficients.copy()
         beta2[m] = cand
         assert base - _total(data, levels, beta2, res.intercepts) <= opts.tol
@@ -405,6 +393,25 @@ def test_unpenalized_above_polish_limit_never_claims_a_non_minimizer(n):
         assert "not a minimizer" in res.diagnostics["reason"]
 
 
+@pytest.mark.parametrize("extra", ["dup", "intercept"])
+def test_rank_deficient_design_never_claims_a_non_minimizer(extra):
+    # A duplicated column, or one equal to the intercept: the vertex polish
+    # runs out of pivots on these, so the fit must certify its point or
+    # report non-convergence.
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(100, 4))
+    Y = X @ np.ones(4) + rng.normal(size=100)
+    column = X[:, 0] if extra == "dup" else np.ones(100)
+    data = Dataset(np.column_stack([X, column]), Y)
+    levels = QuantileLevels.single(0.3)
+    res = fit_cd(data, levels)
+    best = fit_ip(data, levels).objective
+    reached = abs(res.objective - best) <= 1e-6 * (1.0 + abs(best))
+    assert reached or not res.converged
+    if not res.converged:
+        assert "not a minimizer" in res.diagnostics["reason"]
+
+
 def test_uncertified_cd_pilot_fails_the_pilot_stage():
     # At p < n the pilot is the full unregularized fit, so weights are never
     # built from a sweep point that CD could not certify.
@@ -419,13 +426,12 @@ def test_certificate_holds_at_the_exact_optimum(n, p, K):
     data = _wide_problem(n, p, 18)
     levels = QuantileLevels.single(0.3) if K == 1 else QuantileLevels.grid(K)
     # a simplex vertex, so its zero residuals are zero to roundoff
-    design = stack_composite(data, levels)
-    A, m = design.Xs, design.Ys.size
-    lp = linprog(np.concatenate([np.zeros(A.shape[1]), design.taus,
-                                 1.0 - design.taus]),
-                 A_eq=np.hstack([A, np.eye(m), -np.eye(m)]), b_eq=design.Ys,
+    A, Ys, taus = stack_composite(data, levels)
+    m = Ys.size
+    lp = linprog(np.concatenate([np.zeros(A.shape[1]), taus, 1.0 - taus]),
+                 A_eq=np.hstack([A, np.eye(m), -np.eye(m)]), b_eq=Ys,
                  bounds=[(None, None)] * A.shape[1] + [(0, None)] * (2 * m),
                  method="highs-ds")
-    R = (design.Ys - A @ lp.x[:A.shape[1]]).reshape(K, n).T
+    R = (Ys - A @ lp.x[:A.shape[1]]).reshape(K, n)
     gap, tol = _certificate_gap(data.X, data.Y, R, levels.taus)
     assert gap <= tol

@@ -5,12 +5,15 @@ covers the installed entry point.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cqrkit
 from cqrkit.cli import EXIT_INPUT, EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, main
 from cqrkit.io import ResultDocument, report_from_csv, report_from_json
 from cqrkit.simlab import default_lambda
@@ -26,6 +29,14 @@ def table(tmp_path):
     path = tmp_path / "table.csv"
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def _child_env():
+    """Environment in which a child interpreter imports this cqrkit."""
+    path = [str(Path(cqrkit.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 
 
 def _usage_exit(argv):
@@ -256,7 +267,7 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, cqrkit.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, check=True)
+        capture_output=True, text=True, check=True, env=_child_env())
     assert proc.stdout.strip() == "False"
 
 
@@ -264,7 +275,7 @@ def test_module_entry_point_smoke(table):
     proc = subprocess.run(
         [sys.executable, "-m", "cqrkit", "fit", "--input", str(table),
          "--response", "y", "--tau", "0.3", "--algorithm", "cd"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == EXIT_OK
     doc = ResultDocument.from_json(proc.stdout)
     assert doc.converged

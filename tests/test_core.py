@@ -15,13 +15,14 @@ from cqrkit import (
     penalty_value,
     sample_quantile,
     soft_threshold,
-    stack_composite,
     weighted_median,
 )
+from cqrkit.core import fidelity, stacked_fit, stacked_gram, stacked_tdot
 
 from oracles import (
     check_loss_scalar,
     quantile_objective_scan,
+    stack_composite,
     stacked_objective_loop,
     weighted_median_conditions,
 )
@@ -224,31 +225,31 @@ def test_sample_quantile_errors():
 
 
 # ---------------------------------------------------------------------------
-# stack_composite
+# stack_composite: the stacked design the test oracles build for themselves
 # ---------------------------------------------------------------------------
 
 def test_stack_composite_small_example():
     data = Dataset(X=np.array([[5.0], [7.0]]), Y=np.array([1.0, 2.0]))
     levels = QuantileLevels(np.array([0.1, 0.9]))
-    design = stack_composite(data, levels)
-    assert_allclose(design.Xs, [[1.0, 0.0, 5.0],
-                                [1.0, 0.0, 7.0],
-                                [0.0, 1.0, 5.0],
-                                [0.0, 1.0, 7.0]])
-    assert_allclose(design.Ys, [1.0, 2.0, 1.0, 2.0])
-    assert_allclose(design.taus, [0.1, 0.1, 0.9, 0.9])
-    assert (design.n, design.p, design.K) == (2, 1, 2)
+    Xs, Ys, taus = stack_composite(data, levels)
+    assert_allclose(Xs, [[1.0, 0.0, 5.0],
+                         [1.0, 0.0, 7.0],
+                         [0.0, 1.0, 5.0],
+                         [0.0, 1.0, 7.0]])
+    assert_allclose(Ys, [1.0, 2.0, 1.0, 2.0])
+    assert_allclose(taus, [0.1, 0.1, 0.9, 0.9])
+    assert Xs.shape == (2 * 2, 2 + 1)     # (n K, K + p) at n = 2, p = 1, K = 2
 
 
 def test_stack_composite_single_level_is_plain_design():
     rng = np.random.default_rng(40)
     X = rng.standard_normal((6, 3))
     Y = rng.standard_normal(6)
-    design = stack_composite(Dataset(X, Y), QuantileLevels.single(0.25))
-    assert design.Xs.shape == (6, 4)
-    assert_allclose(design.Xs[:, 0], 1.0)
-    assert_allclose(design.Xs[:, 1:], X)
-    assert_allclose(design.taus, 0.25)
+    Xs, _, taus = stack_composite(Dataset(X, Y), QuantileLevels.single(0.25))
+    assert Xs.shape == (6, 4)
+    assert_allclose(Xs[:, 0], 1.0)
+    assert_allclose(Xs[:, 1:], X)
+    assert_allclose(taus, 0.25)
 
 
 def test_stack_composite_rank_identity():
@@ -259,17 +260,17 @@ def test_stack_composite_rank_identity():
     for n, p, K in [(8, 3, 1), (8, 3, 4), (4, 7, 3), (6, 6, 2)]:
         X = rng.standard_normal((n, p))
         data = Dataset(X, rng.standard_normal(n))
-        design = stack_composite(data, QuantileLevels.grid(K))
+        Xs, _, _ = stack_composite(data, QuantileLevels.grid(K))
         augmented = np.column_stack([np.ones(n), X])
-        assert np.linalg.matrix_rank(design.Xs) == K - 1 + np.linalg.matrix_rank(augmented)
+        assert np.linalg.matrix_rank(Xs) == K - 1 + np.linalg.matrix_rank(augmented)
         if n > p:
-            assert np.linalg.matrix_rank(design.Xs) == K + np.linalg.matrix_rank(X)
+            assert np.linalg.matrix_rank(Xs) == K + np.linalg.matrix_rank(X)
 
 
 def test_stack_composite_intercept_only():
     data = Dataset(np.zeros((3, 0)), np.array([1.0, 2.0, 3.0]))
-    design = stack_composite(data, QuantileLevels(np.array([0.2, 0.8])))
-    assert design.Xs.shape == (6, 2)
+    Xs, _, _ = stack_composite(data, QuantileLevels(np.array([0.2, 0.8])))
+    assert Xs.shape == (6, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +334,34 @@ def test_objective_matches_stacked_loop():
                                 else np.array([rng.uniform(0.05, 0.95)]))
         if np.any(np.diff(levels.taus) <= 0):
             continue
-        design = stack_composite(data, levels)
+        Xs, Ys, taus = stack_composite(data, levels)
         b = rng.standard_normal(K)
         beta = rng.standard_normal(p)
         theta = np.concatenate([b, beta])
-        want = stacked_objective_loop(design.Xs, design.Ys, design.taus, theta)
+        want = stacked_objective_loop(Xs, Ys, taus, theta)
         got = objective(data, b, beta, levels, PenaltySpec.none())
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_stacked_products_match_the_materialized_design():
+    # the blockwise products against the oracle's explicit stacked design
+    rng = np.random.default_rng(51)
+    for n, p, K in [(7, 3, 1), (5, 2, 4), (4, 0, 2), (3, 6, 3)]:
+        data = Dataset(rng.standard_normal((n, p)), rng.standard_normal(n))
+        levels = QuantileLevels.grid(K)
+        Xs, Ys, taus = stack_composite(data, levels)
+        theta = rng.standard_normal(K + p)
+        V = rng.standard_normal((K, n))
+        D = rng.uniform(0.1, 2.0, (K, n))
+        assert_allclose(stacked_fit(data.X, theta).ravel(), Xs @ theta,
+                        rtol=1e-13, atol=1e-13)
+        assert_allclose(stacked_tdot(data.X, V), Xs.T @ V.ravel(),
+                        rtol=1e-13, atol=1e-13)
+        assert_allclose(stacked_gram(data.X, D), Xs.T @ (D.ravel()[:, None] * Xs),
+                        rtol=1e-13, atol=1e-13)
+        R = (Ys - Xs @ theta).reshape(K, n)
+        want = stacked_objective_loop(Xs, Ys, taus, theta)
+        assert fidelity(R, levels.taus) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_penalty_value_adaptive():

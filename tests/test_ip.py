@@ -164,6 +164,23 @@ def test_lp_optimum_lower_bounds_other_solvers():
             assert fitter(data, levels).objective >= bound - slack
 
 
+@pytest.mark.parametrize("n, p, K", [(60, 3, 1), (200, 5, 3), (100, 10, 9)])
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_response_scaling_is_exact(n, p, K, scale):
+    # beta(a y) = a beta(y): the stopping rule must not depend on y's units
+    rng = np.random.default_rng(n + p + K)
+    X = rng.normal(size=(n, p))
+    Y = 1.0 + X @ rng.uniform(-1, 1, size=p) + rng.normal(size=n)
+    levels = QuantileLevels.single(0.3) if K == 1 else QuantileLevels.grid(K)
+    base = fit_ip(Dataset(X, Y), levels)
+    scaled = fit_ip(Dataset(X, scale * Y), levels)
+    assert base.converged and scaled.converged
+    assert scaled.iterations == base.iterations
+    theta = np.concatenate([base.intercepts, base.coefficients])
+    back = np.concatenate([scaled.intercepts, scaled.coefficients]) / scale
+    assert np.max(np.abs(back - theta)) <= 1e-12 * (1.0 + np.max(np.abs(theta)))
+
+
 # ----------------------------------------------------------- degenerate designs
 
 def _highs_optimum(data, levels):
