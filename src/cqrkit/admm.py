@@ -42,9 +42,9 @@ from .core import (
     PenaltySpec,
     QuantileLevels,
     SolverOptions,
+    _soft_threshold,
     objective,
     penalty_terms,
-    soft_threshold,
     stacked_fit,
     stacked_gram,
     stacked_tdot,
@@ -85,7 +85,7 @@ def _cd_quadratic(G, h, thresh, active, x, tol, max_sweeps):
         g = G @ x
         for j in order:
             s = h[j] - g[j] + diag[j] * x[j]
-            new = soft_threshold(s, thresh[j]) / diag[j]
+            new = _soft_threshold(s, thresh[j]) / diag[j]
             step = new - x[j]
             if step != 0.0:
                 x[j] = new
@@ -150,7 +150,7 @@ def fit_admm(data: Dataset, levels: QuantileLevels,
 
     for iterations in range(1, opts.max_iter + 1):
         c = Y[None, :] - fit_mat + u / rho
-        r_new = soft_threshold(c - shift, 0.5 / rho)
+        r_new = _soft_threshold(c - shift, 0.5 / rho)
 
         h = stacked_tdot(X, Y[None, :] - r_new + u / rho)
         if penalized:

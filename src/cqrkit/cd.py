@@ -29,34 +29,43 @@ Cyclic sweeps alone routinely terminate at coordinatewise-minimal points
 that are not global minima (the objective is piecewise linear, so descent
 can require moving two or more parameters at once; empirically this bites
 on most small Gaussian instances, not just adversarial ones).  After the
-sweeps settle, ``fit_cd`` therefore runs a finite vertex-descent
-refinement on the equivalent polyhedral program: starting from the sweep
-solution it walks vertex to vertex, at each step scanning the 2(K+p) edge
-directions of the current basis and taking a weighted-median line search
-along the steepest descending edge.  The walk is monotone, terminates at
-an exact minimizer when no edge descends, and is skipped above
-``POLISH_MAX_DIM`` free parameters where penalized sweep output is already
-adequate for selection-style use.
+sweeps settle, ``fit_cd`` therefore finishes with a reduced-cost simplex
+(Barrodale & Roberts 1973; Koenker & d'Orey 1987) on the equivalent
+polyhedral program, at every problem size.  Its rows are the (K, n) data
+rows plus one row ``e_j`` for each column with a positive penalty weight
+``pseudo_j``; the stacked design is never formed.  At a vertex with basis
+rows ``B`` the multipliers are ``u = -B'^{-1} A_N' psi_N``, where ``psi``
+is the check-loss slope of each nonbasic row (``core.stacked_tdot``); a
+multiplier outside its box names a descending edge, and the step along it
+is a weighted-median search over the breakpoints of ``A v``
+(``core.stacked_fit``).  The basis is factored afresh at every pivot.
 
-An unpenalized fit needs a second line of defence where the polish does
-not end ``optimal``: above ``POLISH_MAX_DIM`` (at ``p >= n`` every
-interpolant attains objective 0 while the sweeps can stop well above it),
-and on rank-deficient designs (a duplicated column, a column equal to the
-intercept), where the walk can run out of pivots.  There the accepted
-point reports ``converged`` only when it carries a subgradient certificate
-of optimality: multipliers ``g_ik`` in ``[tau_k - 1, tau_k]`` on the zero
-residuals (``|r_ik| <= 1e-9 (1 + max|y|)``) that cancel the gradient
-``sum tau_k - 1{r_ik < 0}`` of the nonzero ones in every intercept and
-coefficient direction.  Finding them is a bounded least-squares problem
-with ``K + p`` equations; when its residual is not roundoff, the fit
-returns ``converged=False`` and ``diagnostics["reason"]`` says why.
+The finish starts from the sweep's point: the rows nearest zero that are
+linearly independent form the first basis.  Columns with zero penalty
+weight (all of them when the fit is unpenalized) are first cut to an
+identifiable set by one pivoted QR of the centered, unit-norm columns, so
+duplicated, constant and one-hot-block columns drop out whatever their
+units, and at ``p >= n`` an unpenalized fit ends on an interpolating vertex.
+Degenerate vertices, with more zero residuals than parameters, would let
+pivots cycle.  A residual within roundoff of zero (``1e-11 max|y|``)
+therefore takes its side from a fixed-seed random perturbation of the
+targets, treated as infinitely small: the lexicographic rule of the
+perturbation method, under which no vertex is degenerate and every pivot
+descends, while the vertex itself is solved on the true targets.
+
+The certificate is the finish's own exit: ``optimal`` means every
+multiplier lies in its box, ``[tau_k - 1, tau_k]`` for a data row and
+``[-pseudo_j, pseudo_j]`` for a penalty row, given the side of every
+nonbasic residual.  The fit reports ``converged`` exactly then;
+otherwise it keeps the sweep's point and ``diagnostics["reason"]`` says how
+the finish ended.  ``diagnostics["polish"]`` records the finish's pivots,
+status and objective improvement over the sweeps.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import lsq_linear
 
 from .core import (
     Dataset,
@@ -64,20 +73,16 @@ from .core import (
     PenaltySpec,
     QuantileLevels,
     SolverOptions,
+    _weighted_median,
     fidelity,
     penalty_terms,
     penalty_value,
     sample_quantile,
     stacked_fit,
     stacked_tdot,
-    weighted_median,
 )
 
-__all__ = ["fit_cd", "POLISH_MAX_DIM"]
-
-# vertex refinement is cubic-ish in the parameter count; above this many
-# free parameters it is skipped
-POLISH_MAX_DIM = 64
+__all__ = ["fit_cd"]
 
 
 def _intercept_step(R, b, k, taus):
@@ -121,190 +126,132 @@ def _coordinate_candidate(R, x_m, taus, beta_m, pseudo_weight):
     if pseudo_weight > 0.0:
         z = np.append(z, 0.0)
         w = np.append(w, pseudo_weight)
-    return weighted_median(z, w)
+    return _weighted_median(z, w)
 
 
-def _edge_slopes(delta, r, wpos, wneg, tight_tol):
-    """Directional derivatives along the columns of ``delta`` (= A @ V).
+def _identifiable(X):
+    """Columns of ``X`` that, beside the intercepts, have full column rank.
 
-    ``r`` is the current residual vector; rows within ``tight_tol`` of zero
-    contribute their worst-case (one-sided) slope.
+    One pivoted QR of the centered, unit-norm columns, so the choice does
+    not depend on each column's units: constant columns center to zero, and
+    duplicated columns and blocks that sum to a constant come out dependent.
     """
-    pos = (r > tight_tol)[:, None]
-    neg = (r < -tight_tol)[:, None]
-    wp = wpos[:, None]
-    wn = wneg[:, None]
-    contrib = np.where(pos, -wp * delta,
-                       np.where(neg, wn * delta,
-                                np.where(delta > 0, wn * delta, -wp * delta)))
-    return contrib.sum(axis=0)
+    keep = np.zeros(X.shape[1], dtype=bool)
+    Xc = X - X.mean(axis=0)
+    norms = np.linalg.norm(Xc, axis=0)
+    live = norms > 1e-12 * np.linalg.norm(X, axis=0)
+    if np.any(live):
+        _, Rq, piv = scipy.linalg.qr(Xc[:, live] / norms[live], mode="economic",
+                                     pivoting=True)
+        rank = int(np.sum(np.abs(np.diag(Rq)) > 1e-9))
+        keep[np.flatnonzero(live)[piv[:rank]]] = True
+    return keep
 
 
-def _edge_line_search(delta, r, slope0, wpos, wneg, tight_tol):
-    """Largest monotone step along a descending edge.
+def _simplex_finish(X, Y, taus, pseudo, R, beta):
+    """Reduced-cost simplex on the stacked program, from the sweep's point.
 
-    Each row strictly on one side of zero and moving toward it contributes
-    a breakpoint ``t_i = r_i / delta_i``; crossing it raises the slope by
-    ``(wpos_i + wneg_i)|delta_i|``.  Returns the first breakpoint at which
-    the cumulative slope becomes nonnegative, or None when the objective is
-    unbounded along the ray.
-    """
-    move = ((r > tight_tol) & (delta > 0)) | ((r < -tight_tol) & (delta < 0))
-    if not np.any(move):
-        return None
-    t = r[move] / delta[move]
-    jump = (wpos[move] + wneg[move]) * np.abs(delta[move])
-    order = np.argsort(t, kind="stable")
-    cum = slope0 + np.cumsum(jump[order])
-    idx = np.searchsorted(cum, 0.0, side="left")
-    if idx >= t.size:
-        return None
-    return float(t[order][idx])
-
-
-def _vertex_polish(A, y, wpos, wneg, theta, max_pivots=1000, tight_tol=1e-9):
-    """Finite descent to a vertex minimizer of an asymmetric L1 objective.
-
-    Minimizes ``sum_i wpos_i max(r_i, 0) + wneg_i max(-r_i, 0)`` with
-    ``r = y - A theta``.  Returns ``(theta, pivots, status)`` where status is
-    one of ``optimal`` (no descending edge), ``maxpivots``, ``degenerate``
-    (could not build or leave a rank-deficient vertex), ``unbounded``, or
-    ``stalled`` (roundoff: accepted step failed to decrease the objective).
-    """
-    M, d = A.shape
-    theta = theta.astype(float).copy()
-    scale = max(1.0, float(np.max(np.abs(y))) if y.size else 1.0)
-    tt = tight_tol * scale
-    slope_tol = 1e-10 * scale
-
-    def obj(th):
-        r = y - A @ th
-        return float(np.sum(np.where(r >= 0, wpos * r, -wneg * r)))
-
-    f_cur = obj(theta)
-    pivots = 0
-    stale = 0
-    while pivots < max_pivots:
-        r = y - A @ theta
-        ti = np.nonzero(np.abs(r) <= tt)[0]
-        basis = np.array([], dtype=int)
-        if ti.size:
-            q, rq, piv = scipy.linalg.qr(A[ti].T, pivoting=True)
-            diag = np.abs(np.diag(rq))
-            lead = diag[0] if diag.size else 0.0
-            rank = int(np.sum(diag > 1e-10 * max(1.0, lead)))
-            basis = ti[piv[:rank]]
-        if basis.size < d:
-            # not at a full vertex: slide along a null direction of the
-            # tight rows until one more row becomes tight
-            if basis.size:
-                null = scipy.linalg.null_space(A[basis])
-            else:
-                null = np.eye(d)
-            moved = False
-            for idx in range(null.shape[1]):
-                v = null[:, idx]
-                for sgn in (1.0, -1.0):
-                    delta = A @ (sgn * v)
-                    s0 = float(_edge_slopes(delta[:, None], r, wpos, wneg, tt)[0])
-                    if s0 > slope_tol:
-                        continue
-                    tstar = _edge_line_search(delta, r, s0, wpos, wneg, tt)
-                    if tstar is None:
-                        continue
-                    theta = theta + tstar * sgn * v
-                    moved = True
-                    break
-                if moved:
-                    break
-            if not moved:
-                return theta, pivots, "degenerate"
-            pivots += 1
-            continue
-        B = A[basis]
-        try:
-            directions = np.linalg.inv(B)
-        except np.linalg.LinAlgError:
-            return theta, pivots, "degenerate"
-        delta = A @ directions
-        slopes_plus = _edge_slopes(delta, r, wpos, wneg, tt)
-        slopes_minus = _edge_slopes(-delta, r, wpos, wneg, tt)
-        j_plus = int(np.argmin(slopes_plus))
-        j_minus = int(np.argmin(slopes_minus))
-        if slopes_plus[j_plus] <= slopes_minus[j_minus]:
-            best_slope, v, dvec = slopes_plus[j_plus], directions[:, j_plus], delta[:, j_plus]
-        else:
-            best_slope, v, dvec = slopes_minus[j_minus], -directions[:, j_minus], -delta[:, j_minus]
-        if best_slope >= -slope_tol:
-            return theta, pivots, "optimal"
-        tstar = _edge_line_search(dvec, r, best_slope, wpos, wneg, tt)
-        if tstar is None:
-            return theta, pivots, "unbounded"
-        cand = theta + tstar * v
-        f_new = obj(cand)
-        if f_new > f_cur:
-            return theta, pivots, "stalled"
-        if tstar <= tt:
-            stale += 1
-            if stale > 2 * d:
-                return theta, pivots, "degenerate"
-        else:
-            stale = 0
-        theta, f_cur = cand, f_new
-        pivots += 1
-    return theta, pivots, "maxpivots"
-
-
-def _polish_rows(data, levels, pseudo, active, penalized):
-    """Stacked rows, targets, and side weights of the polyhedral program.
-
-    Level-major data rows over the intercepts and the ``active`` columns,
-    then, when ``penalized``, one row ``e_j`` per active column with target
-    0 and weight ``pseudo_j`` on both sides.
-    """
-    n, K = data.n, levels.K
-    A = np.hstack([np.kron(np.eye(K), np.ones((n, 1))),
-                   np.tile(data.X[:, active], (K, 1))])
-    y = np.tile(data.Y, K)
-    wpos = np.repeat(levels.taus, n)
-    wneg = 1.0 - wpos
-    if penalized:
-        n_active = int(np.count_nonzero(active))
-        A = np.vstack([A, np.eye(K + n_active)[K:]])
-        y = np.concatenate([y, np.zeros(n_active)])
-        wpos = np.concatenate([wpos, pseudo[active]])
-        wneg = np.concatenate([wneg, pseudo[active]])
-    return A, y, wpos, wneg
-
-
-def _certificate_gap(X, Y, R, taus):
-    """Distance from zero of the best unpenalized subgradient at ``R``.
-
-    ``X`` holds the free coefficient columns and ``R`` the (K, n) residuals.
-    Rows with ``|r_ik|`` under the zero tolerance take multipliers in
-    ``[tau_k - 1, tau_k]``; the others contribute ``tau_k - 1{r_ik < 0}``.
-    Returns ``(gap, tol)``: the max-norm of the best stacked gradient over
-    the box, found by bounded least squares, and the roundoff threshold under
-    which it certifies a minimizer.
+    Minimizes ``sum_i wpos_i max(r_i, 0) + wneg_i max(-r_i, 0)`` over
+    ``theta`` (the K intercepts, then the columns of ``X``) with
+    ``r = T - A theta``.  The rows of ``A`` are the (K, n) data rows,
+    level-major, with weights ``tau_k`` and ``1 - tau_k``, then one row
+    ``e_j`` with target 0 and weight ``pseudo_j`` on both sides for each
+    column with ``pseudo_j > 0``; ``A`` itself is never formed.  ``R`` and
+    ``beta`` are the sweep's residuals and coefficients, which pick the
+    starting vertex.  Returns ``(theta, pivots, status)``; status is
+    ``optimal`` (every basic multiplier in its box, the dual certificate),
+    ``maxpivots`` (1000 pivots), ``degenerate`` (no nonsingular basis) or
+    ``unbounded`` (roundoff: no breakpoint ends a descending edge).
     """
     K, n = R.shape
-    zero = np.abs(R) <= 1e-9 * (1.0 + float(np.max(np.abs(Y))))
-    psi = np.where(zero, 0.0, taus[:, None] - (R < 0.0))
-    fixed = stacked_tdot(X, psi)
-    levels_of, rows = np.nonzero(zero)
-    if rows.size:
-        # one column per zero residual: its intercept indicator over its row
-        M = np.zeros((K + X.shape[1], rows.size))
-        M[levels_of, np.arange(rows.size)] = 1.0
-        M[K:] = X[rows].T
-        sol = lsq_linear(M, -fixed, bounds=(taus[levels_of] - 1.0,
-                                            taus[levels_of]), method="bvls")
-        grad = M @ sol.x + fixed
-    else:
-        grad = fixed
-    # scale of the gradient: each column's total absolute contribution
-    tol = 1e-8 * max(n, K * float(np.max(np.abs(X).sum(axis=0), initial=0.0)))
-    return float(np.max(np.abs(grad))), tol
+    d = K + X.shape[1]
+    # unit-free columns: theta[K + j] is in the units of y
+    scale = np.abs(X).max(axis=0)
+    X, pseudo, beta = X / scale, pseudo / scale, beta * scale
+    pen = np.flatnonzero(pseudo > 0.0)
+    N = K * n
+    wpos = np.concatenate([np.repeat(taus, n), pseudo[pen]])
+    wneg = np.concatenate([np.repeat(1.0 - taus, n), pseudo[pen]])
+    target = np.concatenate([np.tile(Y, K), np.zeros(pen.size)])
+
+    def rows(idx):
+        out = np.zeros((idx.size, d))
+        data = idx < N
+        out[np.flatnonzero(data), idx[data] // n] = 1.0
+        out[data, K:] = X[idx[data] % n]
+        out[np.flatnonzero(~data), K + pen[idx[~data] - N]] = 1.0
+        return out
+
+    def times(v):
+        return np.concatenate([stacked_fit(X, v).ravel(), v[K + pen]])
+
+    # start: the d rows nearest zero at the sweep point that are independent
+    r = np.concatenate([R.ravel(), -beta[pen]])
+    order = np.argsort(np.abs(r) * (wpos + wneg), kind="stable")
+    Q = np.zeros((d, d))
+    basis = []
+    for i, a in zip(order, rows(order)):
+        w = a - Q @ (Q.T @ a)
+        w -= Q @ (Q.T @ w)
+        size = np.linalg.norm(w)
+        if size > 1e-8 * np.linalg.norm(a):
+            Q[:, len(basis)] = w / size
+            basis.append(i)
+            if len(basis) == d:
+                break
+    if len(basis) < d:
+        return np.zeros(d), 0, "degenerate"
+    basis = np.array(basis)
+
+    # A residual within roundoff of zero takes its side from a fixed random
+    # perturbation of the targets, as if that perturbation were infinitely
+    # small (the lexicographic rule): no vertex is then degenerate, so pivots
+    # cannot cycle, and the answer is that of the true targets.
+    jitter = np.random.default_rng(0).random(target.size)
+    tiny = 1e-11 * float(np.max(np.abs(Y)))
+    pivots = 0
+    while True:
+        B = rows(basis)
+        lu = scipy.linalg.lu_factor(B, check_finite=False)
+        if np.min(np.abs(np.diag(lu[0]))) <= 1e-13:
+            return np.zeros(d), pivots, "degenerate"
+        theta = scipy.linalg.lu_solve(lu, target[basis])
+        r = target - times(theta)
+        r[np.abs(r) <= tiny] = 0.0
+        tie = jitter - times(scipy.linalg.lu_solve(lu, jitter[basis]))
+        side = np.where(r != 0.0, np.sign(r), np.sign(tie))
+        side[basis] = 0.0
+        psi = np.where(side > 0.0, wpos, -wneg)
+        psi[basis] = 0.0
+        g = stacked_tdot(X, psi[:N].reshape(K, n))
+        g[K + pen] += psi[N:]
+        u = scipy.linalg.lu_solve(lu, -g, trans=1)
+        # slope per unit of leaving row j's residual, by box width: to the
+        # negative side wneg_j + u_j, to the positive side wpos_j - u_j
+        width = wpos[basis] + wneg[basis]
+        slopes = np.concatenate([wneg[basis] + u, wpos[basis] - u]) / np.tile(width, 2)
+        e = int(np.argmin(slopes))
+        if slopes[e] >= -1e-9:
+            status = "optimal"
+            break
+        if pivots == 1000:
+            status = "maxpivots"
+            break
+        j, s = e % d, (1.0 if e < d else -1.0)
+        delta = times(scipy.linalg.lu_solve(lu, s * np.eye(d)[j]))
+        move = np.flatnonzero(side * delta > 0.0)
+        t = r[move] / delta[move]
+        ranked = np.lexsort((tie[move] / delta[move], t))
+        jump = (wpos[move] + wneg[move]) * np.abs(delta[move])
+        cum = slopes[e] * width[j] + np.cumsum(jump[ranked])
+        stop = int(np.searchsorted(cum, 0.0, side="left"))
+        if stop == t.size:
+            status = "unbounded"
+            break
+        basis[j] = move[ranked[stop]]
+        pivots += 1
+    theta[K:] /= scale
+    return theta, pivots, status
 
 
 def fit_cd(data: Dataset, levels: QuantileLevels,
@@ -312,7 +259,8 @@ def fit_cd(data: Dataset, levels: QuantileLevels,
            options: SolverOptions | None = None) -> FitResult:
     """Fit (composite) quantile regression by safeguarded coordinate descent.
 
-    ``max_iter`` counts full sweeps.  ``diagnostics["max_objective_increase"]``
+    The sweeps end in the simplex finish, and ``converged`` is true exactly
+    when the finish ends ``optimal``.  ``max_iter`` counts full sweeps.  ``diagnostics["max_objective_increase"]``
     reports the largest observed objective change over all accepted updates
     (monotonicity audit; at most roundoff).
     """
@@ -322,7 +270,6 @@ def fit_cd(data: Dataset, levels: QuantileLevels,
     n, p, K = data.n, data.p, levels.K
     taus = levels.taus
 
-    penalized = penalty.regularized
     weights, active = penalty_terms(penalty, p)
     pseudo = penalty.lam * weights
 
@@ -335,7 +282,6 @@ def fit_cd(data: Dataset, levels: QuantileLevels,
     fid = fidelity(R, taus)
     pen = penalty_value(beta, penalty)
     max_increase = -np.inf
-    converged = False
     sweeps = 0
 
     for sweeps in range(1, opts.max_iter + 1):
@@ -361,39 +307,30 @@ def fit_cd(data: Dataset, levels: QuantileLevels,
                 biggest = max(biggest, abs(value - beta[m]))
                 beta[m], R, fid, pen = value, new_R, new_fid, new_pen
         if biggest < opts.tol:
-            converged = True
             break
 
-    polish_info = {"pivots": 0, "status": "skipped", "improvement": 0.0}
-    reason = None
-    free_dim = K + int(np.count_nonzero(usable))
-    if free_dim <= POLISH_MAX_DIM:
-        A, ys, wpos, wneg = _polish_rows(data, levels, pseudo, usable, penalized)
-        theta0 = np.concatenate([b, beta[usable]])
-        theta, pivots, status = _vertex_polish(A, ys, wpos, wneg, theta0)
+    # zero-weight columns (all of them when unpenalized) are cut to a set
+    # the data identify; a positive weight's row e_j identifies its column
+    cols = usable.copy()
+    free = usable & (pseudo == 0.0)
+    if np.any(free):
+        cols[free] = _identifiable(X[:, free])
+    theta, pivots, status = _simplex_finish(X[:, cols], Y, taus, pseudo[cols],
+                                            R, beta[cols])
+    polish_info = {"pivots": pivots, "status": status, "improvement": 0.0}
+    converged = status == "optimal"
+    if converged:
         cand_beta = np.zeros(p)
-        cand_beta[usable] = theta[K:]
+        cand_beta[cols] = theta[K:]
         cand_b = theta[:K]
         cand_R = Y[None, :] - stacked_fit(X, np.concatenate([cand_b, cand_beta]))
         cand_fid = fidelity(cand_R, taus)
         cand_pen = penalty_value(cand_beta, penalty)
-        polish_info = {"pivots": pivots, "status": status,
-                       "improvement": (fid + pen) - (cand_fid + cand_pen)}
-        # refinement is accepted only if it did not lose ground (roundoff)
+        polish_info["improvement"] = float((fid + pen) - (cand_fid + cand_pen))
+        # an optimal vertex can sit a roundoff above an optimal sweep point
         if cand_fid + cand_pen <= fid + pen:
             b, beta, R = cand_b, cand_beta, cand_R
             fid, pen = cand_fid, cand_pen
-    status = polish_info["status"]
-    if not penalized and status != "optimal":
-        gap, gap_tol = _certificate_gap(X[:, usable], Y, R, taus)
-        polish_info["certificate_gap"] = gap
-        if gap > gap_tol:
-            converged = False
-            where = (f"{free_dim} free parameters, above the polish limit "
-                     f"{POLISH_MAX_DIM}" if status == "skipped"
-                     else f"the vertex polish ended {status!r}")
-            reason = (f"accepted point is not a minimizer: best subgradient "
-                      f"{gap:.3g} exceeds {gap_tol:.3g} ({where})")
 
     diagnostics = {
         "residuals": R.copy(),
@@ -401,8 +338,9 @@ def fit_cd(data: Dataset, levels: QuantileLevels,
         "skipped_columns": np.nonzero(zero_cols)[0],
         "polish": polish_info,
     }
-    if reason is not None:
-        diagnostics["reason"] = reason
+    if not converged:
+        diagnostics["reason"] = (f"the simplex finish ended {status!r} after "
+                                 f"{pivots} pivots")
     return FitResult(intercepts=b.copy(), coefficients=beta.copy(),
                      iterations=sweeps, converged=converged,
                      objective=fid + pen, algorithm="cd",

@@ -36,8 +36,7 @@ EXIT_USAGE = 64
 # pilot algorithm).  Regularized presets pin the pilot solver to ADMM, the
 # solver behind the acceptance criteria's selection counts.  At p >= n the
 # pilot is a forward-selected refit (see pipeline); at p < n it is the full
-# unregularized fit, which CD cannot certify above POLISH_MAX_DIM free
-# parameters, so a CD pilot would fail there.
+# unregularized fit.
 PRESETS = {
     "qr-noreg": (lambda: QuantileLevels.single(0.3), 50, None, False, None),
     "cqr-noreg": (lambda: QuantileLevels.grid(9), 50, None, False, None),

@@ -270,9 +270,13 @@ def soft_threshold(v, a):
     a = float(a)
     if not np.isfinite(a) or a < 0.0:
         raise ValueError("threshold must be finite and nonnegative")
-    v = np.asarray(v, dtype=float)
-    out = np.sign(v) * np.maximum(np.abs(v) - a, 0.0)
+    out = _soft_threshold(np.asarray(v, dtype=float), a)
     return float(out) if out.ndim == 0 else out
+
+
+def _soft_threshold(v, a):
+    """``soft_threshold`` without validation, for the solvers' inner loops."""
+    return np.sign(v) * np.maximum(np.abs(v) - a, 0.0)
 
 
 def weighted_median(z, w):
@@ -293,12 +297,16 @@ def weighted_median(z, w):
         raise ValueError("z and w must be finite")
     if np.any(w < 0.0):
         raise ValueError("weights must be nonnegative")
-    total = float(np.sum(w))
-    if total <= 0.0:
+    if float(np.sum(w)) <= 0.0:
         raise ValueError("total weight must be positive")
+    return _weighted_median(z, w)
+
+
+def _weighted_median(z, w):
+    """``weighted_median`` of float vectors, without validation."""
     order = np.argsort(z, kind="stable")
     cum = np.cumsum(w[order])
-    idx = int(np.searchsorted(cum, 0.5 * total, side="left"))
+    idx = int(np.searchsorted(cum, 0.5 * float(np.sum(w)), side="left"))
     idx = min(idx, z.size - 1)  # cumsum vs. sum can differ in the last ulp
     return float(z[order[idx]])
 

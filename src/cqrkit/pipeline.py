@@ -9,7 +9,7 @@ the final result's diagnostics under ``"pilot"``.
 At ``p >= n`` the unregularized minimizer is not unique: every interpolant
 attains objective 0, so it says nothing about which coefficients matter
 (ADMM, MM and IP would return the least-L2-norm interpolant, which shrinks
-the truth by about ``n / p``; CD cannot certify any minimizer there).  The
+the truth by about ``n / p``; CD an interpolating vertex).  The
 pilot is then a forward stepwise selection (forward regression, Wang 2009)
 stopped by a max-score test: starting from the intercepts alone, each step
 refits the unregularized model on the selected columns with

@@ -262,11 +262,12 @@ def test_simulate_unwritable_output_is_input_error(tmp_path, capsys):
 
 # ------------------------------------------------------------- entry point
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs a large share of every command's start-up
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
+def test_cli_import_leaves_scipy_stats_unloaded(module):
+    # either costs a large share of every command's start-up
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, cqrkit.cli; print('scipy.stats' in sys.modules)"],
+         f"import sys, cqrkit.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, check=True, env=_child_env())
     assert proc.stdout.strip() == "False"
 

@@ -10,6 +10,7 @@ import pytest
 from scipy.optimize import linprog
 
 from cqrkit import Dataset, PenaltySpec, QuantileLevels, objective
+from cqrkit.cd import fit_cd
 from cqrkit.ip import fit_ip
 
 from oracles import penalized_qr_1d_exact, qr_exact
@@ -148,7 +149,6 @@ def test_solution_sits_on_a_vertex():
 
 def test_lp_optimum_lower_bounds_other_solvers():
     from cqrkit.admm import fit_admm
-    from cqrkit.cd import fit_cd
     from cqrkit.mm import fit_mm
 
     rng = np.random.default_rng(16)
@@ -183,17 +183,33 @@ def test_response_scaling_is_exact(n, p, K, scale):
 
 # ----------------------------------------------------------- degenerate designs
 
-def _highs_optimum(data, levels):
-    """Optimum of the check-loss LP by HiGHS, independent of the fitters."""
+def _highs_optimum(data, levels, penalty=None):
+    """Optimum of the check-loss LP by HiGHS, independent of the fitters.
+
+    An adaptive-lasso penalty adds one row ``beta_j = u_j - v_j`` per active
+    column with cost ``lam / pilot_j^2`` on ``u_j + v_j``; inactive columns
+    are fixed at zero.
+    """
     n, p, K = data.n, data.p, levels.K
     Xs = np.hstack([np.kron(np.eye(K), np.ones((n, 1))), np.tile(data.X, (K, 1))])
     taus = np.repeat(levels.taus, n)
     N = n * K
     c = np.concatenate([np.zeros(K + p), taus, 1.0 - taus])
     A = np.hstack([Xs, np.eye(N), -np.eye(N)])
+    b = np.tile(data.Y, K)
     bounds = [(None, None)] * (K + p) + [(0, None)] * (2 * N)
-    res = linprog(c, A_eq=A, b_eq=np.tile(data.Y, K), bounds=bounds,
-                  method="highs")
+    if penalty is not None and penalty.regularized:
+        active = np.abs(penalty.pilot) >= 1e-6
+        cost = penalty.lam / penalty.pilot[active] ** 2
+        P = int(active.sum())
+        rows = np.hstack([np.zeros((P, K)), np.eye(p)[active], np.zeros((P, 2 * N))])
+        A = np.block([[A, np.zeros((N, 2 * P))], [rows, np.eye(P), -np.eye(P)]])
+        b = np.concatenate([b, np.zeros(P)])
+        c = np.concatenate([c, cost, cost])
+        bounds += [(0, None)] * (2 * P)
+        for j in np.flatnonzero(~active):
+            bounds[K + j] = (0, 0)
+    res = linprog(c, A_eq=A, b_eq=b, bounds=bounds, method="highs")
     assert res.status == 0
     return res.fun
 
@@ -203,12 +219,18 @@ def _degenerate_case(name):
     n = 40
     x = rng.normal(size=(n, 2))
     levels = QuantileLevels.single(0.5)
+    penalty = None
     if name == "duplicated-column":
         X = np.column_stack([x[:, 0], x[:, 0], x[:, 1]])
     elif name == "column-in-large-units":
         X = x * np.array([1e8, 1.0])
     elif name == "intercept-column":
         X = np.column_stack([np.ones(n), x])
+    elif name == "intercept-column-lam0":
+        rng = np.random.default_rng(40)
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, 3))])
+        levels = QuantileLevels.single(0.3)
+        penalty = PenaltySpec.adaptive_lasso(0.0, np.ones(4))
     elif name == "one-hot-block":
         X = np.column_stack([np.eye(3)[rng.integers(0, 3, size=n)], x[:, 0]])
     elif name == "p-above-n":
@@ -216,22 +238,44 @@ def _degenerate_case(name):
         X = rng.normal(size=(n, 70))
     elif name == "intercept-only":
         X = np.zeros((n, 0))
+    elif name == "integer-y-nine-levels-lam50":
+        rng = np.random.default_rng(53)
+        n = 150
+        X = rng.normal(size=(n, 11))
+        levels = QuantileLevels.grid(9)
+        penalty = PenaltySpec.adaptive_lasso(50.0, rng.normal(size=11))
+    elif name.startswith("wide-"):
+        # (n, p, K) of a p > n or nearly square design
+        n, p, K = (int(part) for part in name[5:].split("x"))
+        X = rng.normal(size=(n, p))
+        levels = QuantileLevels.single(0.3) if K == 1 else QuantileLevels.grid(K)
     else:  # extreme levels
         X = x
         levels = QuantileLevels.single(float(name.split("=")[1]))
     beta = rng.uniform(-1, 1, size=X.shape[1])
     Y = X @ beta + rng.standard_t(3, size=n)
-    return Dataset(X, Y), levels
+    if name.startswith("integer-y"):
+        Y = np.round(Y)
+    return Dataset(X, Y), levels, penalty
 
 
-@pytest.mark.parametrize("name", ["duplicated-column", "column-in-large-units",
-                                  "intercept-column",
-                                  "one-hot-block", "p-above-n",
-                                  "intercept-only", "tau=0.01", "tau=0.99"])
-def test_degenerate_designs_reach_the_lp_optimum(name):
-    data, levels = _degenerate_case(name)
-    fit = fit_ip(data, levels)
-    best = _highs_optimum(data, levels)
+DEGENERATE = ["duplicated-column", "column-in-large-units", "intercept-column",
+              "one-hot-block", "p-above-n", "intercept-only", "tau=0.01",
+              "tau=0.99"]
+# penalized fits and the sizes of a wide and a nearly square design, on
+# which coordinate descent once claimed points short of the optimum
+CD_DEGENERATE = DEGENERATE + ["integer-y-nine-levels-lam50",
+                              "intercept-column-lam0", "wide-30x70x1",
+                              "wide-200x66x3"]
+
+
+@pytest.mark.parametrize("fitter, name", (
+    [pytest.param(fit_ip, name, id=name) for name in DEGENERATE]
+    + [pytest.param(fit_cd, name, id=f"cd-{name}") for name in CD_DEGENERATE]))
+def test_degenerate_designs_reach_the_lp_optimum(fitter, name):
+    data, levels, penalty = _degenerate_case(name)
+    fit = fitter(data, levels, penalty)
+    best = _highs_optimum(data, levels, penalty)
     assert fit.converged
     assert np.all(np.isfinite(fit.intercepts))
     assert np.all(np.isfinite(fit.coefficients))
