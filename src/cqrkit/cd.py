@@ -73,11 +73,11 @@ from .core import (
     PenaltySpec,
     QuantileLevels,
     SolverOptions,
+    _sample_quantile,
     _weighted_median,
     fidelity,
     penalty_terms,
     penalty_value,
-    sample_quantile,
     stacked_fit,
     stacked_tdot,
 )
@@ -91,7 +91,7 @@ def _intercept_step(R, b, k, taus):
     The level-``tau_k`` sample quantile of ``y_i - x_i' beta``, read off the
     (K, n) residuals ``R`` at intercepts ``b``.
     """
-    return sample_quantile(R[k] + b[k], taus[k])
+    return _sample_quantile(R[k] + b[k], taus[k])
 
 
 def _coordinate_step(R, x_m, taus, beta_m, pseudo, fid, pen):

@@ -322,6 +322,11 @@ def sample_quantile(values, tau):
         raise ValueError("values must be a nonempty 1-D vector")
     if not np.all(np.isfinite(v)):
         raise ValueError("values must be finite")
+    return _sample_quantile(v, tau)
+
+
+def _sample_quantile(v, tau):
+    """``sample_quantile`` of a float vector, without validation."""
     n = v.size
     # nudge before ceil: n * tau can land an ulp above an integer (10 * 0.3)
     m = int(np.ceil(n * tau - 1e-9))

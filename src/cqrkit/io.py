@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io as _stringio
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -99,6 +99,10 @@ def read_csv(path, response_column) -> Dataset:
 
 # ------------------------------------------------------------- fit documents
 
+#: document fields whose JSON key differs from the field name
+_JSON_KEYS = {"lam": "lambda"}
+
+
 @dataclass
 class ResultDocument:
     """Machine-readable record of one fit: the request echoed back plus
@@ -119,18 +123,13 @@ class ResultDocument:
 
     @classmethod
     def from_fit(cls, request, result) -> "ResultDocument":
-        opts = request.options
         pilot = result.diagnostics.get("pilot")
         return cls(
             algorithm=request.algorithm,
             taus=[float(t) for t in request.levels.taus],
             lam=request.lam,
-            options={
-                "max_iter": opts.max_iter,
-                "tol": opts.tol,
-                "rho": opts.rho,
-                "eps_mm": opts.eps_mm,
-            },
+            options={name: getattr(request.options, name)
+                     for name in ("max_iter", "tol", "rho", "eps_mm")},
             intercepts=[float(b) for b in result.intercepts],
             coefficients=[float(b) for b in result.coefficients],
             iterations=int(result.iterations),
@@ -140,38 +139,19 @@ class ResultDocument:
         )
 
     def to_json(self) -> str:
-        payload = {
-            "schema_version": self.schema_version,
-            "algorithm": self.algorithm,
-            "taus": self.taus,
-            "lambda": self.lam,
-            "options": self.options,
-            "intercepts": self.intercepts,
-            "coefficients": self.coefficients,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "objective": self.objective,
-        }
-        if self.pilot is not None:
-            payload["pilot"] = self.pilot
+        payload = {"schema_version": self.schema_version}
+        payload.update((_JSON_KEYS.get(f.name, f.name), getattr(self, f.name))
+                       for f in fields(self) if f.name != "schema_version")
+        if self.pilot is None:
+            del payload["pilot"]
         return json.dumps(payload, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ResultDocument":
         payload = json.loads(text)
-        return cls(
-            algorithm=payload["algorithm"],
-            taus=payload["taus"],
-            lam=payload["lambda"],
-            options=payload["options"],
-            intercepts=payload["intercepts"],
-            coefficients=payload["coefficients"],
-            iterations=payload["iterations"],
-            converged=payload["converged"],
-            objective=payload["objective"],
-            pilot=payload.get("pilot"),
-            schema_version=payload["schema_version"],
-        )
+        return cls(pilot=payload.get("pilot"),
+                   **{f.name: payload[_JSON_KEYS.get(f.name, f.name)]
+                      for f in fields(cls) if f.name != "pilot"})
 
     def to_csv(self) -> str:
         """Flat ``field,index,value`` rendering (write-only convenience)."""
@@ -200,8 +180,16 @@ class ResultDocument:
 
 # ---------------------------------------------------------------- sim reports
 
-REPORT_COLUMNS = ["n", "p", "algorithm", "mean_error", "mean_N_T",
-                  "mean_N_F", "mean_seconds", "reps", "failures", "flagged"]
+REPORT_COLUMNS = [f.name for f in fields(SimRow)]
+# ``SimRow``'s annotations are strings (``from __future__ import annotations``)
+_PARSE = {"int": int, "float": float, "str": str,
+          "bool": lambda text: text == "true"}
+
+
+def _report_cell(value):
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else value
 
 
 def report_to_json(report: SimReport) -> str:
@@ -225,12 +213,8 @@ def report_to_csv(report: SimReport) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(REPORT_COLUMNS)
     for row in report.rows:
-        writer.writerow([
-            row.n, row.p, row.algorithm,
-            repr(row.mean_error), repr(row.mean_N_T), repr(row.mean_N_F),
-            repr(row.mean_seconds), row.reps, row.failures,
-            str(row.flagged).lower(),
-        ])
+        writer.writerow([_report_cell(getattr(row, name))
+                         for name in REPORT_COLUMNS])
     return out.getvalue()
 
 
@@ -248,17 +232,7 @@ def report_from_csv(text: str) -> SimReport:
     if header != REPORT_COLUMNS:
         raise CsvParseError(
             f"unexpected report header: {','.join(header)}")
-    rows = []
-    for record in reader:
-        values = dict(zip(header, record))
-        rows.append(SimRow(
-            n=int(values["n"]), p=int(values["p"]),
-            algorithm=values["algorithm"],
-            mean_error=float(values["mean_error"]),
-            mean_N_T=float(values["mean_N_T"]),
-            mean_N_F=float(values["mean_N_F"]),
-            mean_seconds=float(values["mean_seconds"]),
-            reps=int(values["reps"]), failures=int(values["failures"]),
-            flagged=values["flagged"] == "true",
-        ))
+    rows = [SimRow(**{f.name: _PARSE[f.type](value)
+                      for f, value in zip(fields(SimRow), record)})
+            for record in reader]
     return SimReport(rows=rows, metadata=metadata)

@@ -15,19 +15,22 @@ predictor-corrector started from ``a = u o (1 - tau*)`` and the
 least-squares coefficients.  The multipliers ``z`` of ``a >= 0`` and ``w``
 of ``a <= u`` split the residual, ``y* - X* theta = w - z``.
 
-Each iteration factors one (K + p)-square Newton matrix ``X*' diag(q) X*``,
-assembled blockwise from ``X`` by ``core.stacked_gram``, and reuses it for
-the predictor and the corrector, by Cholesky.  When ``X*`` is rank
-deficient (p >= n, duplicated columns, a one-hot block beside the
-intercepts) or Cholesky fails, the step is the minimum-norm least-squares
-solution of the same system.  Its right-hand side lies in the range of the
-matrix, so that step solves the system exactly, and every step stays in
-the row space of ``X*``: at p >= n the fit is the least-L2-norm
-interpolant, as the least-squares start is.
+The program is solved on unit-norm columns of ``X``.  Each iteration
+factors one (K + p)-square Newton matrix ``X*' diag(q) X*``, assembled
+blockwise from ``X`` by ``core.stacked_gram``, and reuses it for the
+predictor and the corrector, by Cholesky.  When ``X*`` is rank deficient
+(p >= n, duplicated columns, a one-hot block beside the intercepts) or
+Cholesky fails, the step is the minimum-norm least-squares solution of the
+same system.  Its right-hand side lies in the range of the matrix, so that
+step solves the system exactly, and every step stays in the row space of
+the scaled ``X*``: at p >= n the fit is the least-L2-norm interpolant on
+the unit-norm columns, as the least-squares start is, and it moves exactly
+with a rescaling of the columns.
 
 The adaptive lasso enters as rows (quantreg's ``rq.fit.lasso``): each
 active coefficient ``j`` adds the row ``e_j`` with response 0, level 1/2
-and weight ``2 lam w_j``, whose check loss is ``lam w_j |beta_j|``.
+and weight ``2 lam w_j``, whose check loss is ``lam w_j |beta_j|`` (on
+the unit-norm columns the row is ``e_j / ||x_j||``).
 Inactive coefficients are dropped from the design, which pins them at zero.
 
 The fit converges when the duality gap ``a'z + (u - a)'w`` is at most
@@ -87,21 +90,30 @@ def fit_ip(data: Dataset, levels: QuantileLevels,
     weights, active = penalty_terms(penalty, data.p)
     n, K = data.n, levels.K
     nK = n * K
+    # unit-norm columns, so that no rank test or step sees column units:
+    # column j of X/scale carries coefficient scale_j beta_j.  Its penalty
+    # row, e_j / scale_j, still reads beta_j, so the penalty rows and their
+    # duals are those of the unscaled program.
     X = data.X[:, active]
+    scale = np.linalg.norm(X, axis=0)
+    scale[scale == 0.0] = 1.0
+    X = X / scale
     pen = 2.0 * penalty.lam * weights[active]
     rows = np.nonzero(pen > 0.0)[0]       # active columns with a penalty row
+    inv = 1.0 / scale[rows]
 
     def design(theta):                    # X* theta
-        return np.concatenate([stacked_fit(X, theta).ravel(), theta[K:][rows]])
+        return np.concatenate([stacked_fit(X, theta).ravel(),
+                               theta[K:][rows] * inv])
 
     def design_t(v):                      # X*' v
         out = stacked_tdot(X, v[:nK].reshape(K, n))
-        out[K + rows] += v[nK:]
+        out[K + rows] += v[nK:] * inv
         return out
 
     def gram(q):                          # X*' diag(q) X*
         G = stacked_gram(X, q[:nK].reshape(K, n))
-        G[K + rows, K + rows] += q[nK:]
+        G[K + rows, K + rows] += q[nK:] * inv ** 2
         return G
 
     ys = np.concatenate([np.tile(data.Y, K), np.zeros(rows.size)])
@@ -112,9 +124,8 @@ def fit_ip(data: Dataset, levels: QuantileLevels,
     a = u * (1.0 - tau)
     s = u * tau                           # slack u - a of the upper bound
     # Cholesky runs only on a design of full column rank, judged on the
-    # column-scaled Gram matrix so that units do not matter.  On an exactly
-    # singular matrix it can succeed on a roundoff pivot and step off the
-    # row space of X*.
+    # column-scaled Gram matrix.  On an exactly singular matrix it can
+    # succeed on a roundoff pivot and step off the row space of X*.
     G = gram(np.ones(u.size))
     norms = np.sqrt(np.diag(G))
     full_rank = bool(np.all(norms > 0.0)) and (
@@ -184,7 +195,7 @@ def fit_ip(data: Dataset, levels: QuantileLevels,
 
     intercepts = theta[:K].copy()
     coefficients = np.zeros(data.p)
-    coefficients[active] = theta[K:]
+    coefficients[active] = theta[K:] / scale
     obj = objective(data, intercepts, coefficients, levels, penalty)
     return FitResult(intercepts=intercepts, coefficients=coefficients,
                      iterations=iterations, converged=converged,

@@ -36,45 +36,16 @@ from .core import (
     PenaltySpec,
     QuantileLevels,
     SolverOptions,
-    check_loss,
     fidelity,
     objective,
     penalty_terms,
     stacked_gram,
 )
 
-__all__ = ["smoothed_check_loss", "majorizer_value", "fit_mm"]
+__all__ = ["fit_mm"]
 
 #: magnitude below which a penalized coordinate is frozen at zero
 FREEZE_THRESHOLD = 1e-6
-
-
-def smoothed_check_loss(t, tau, eps):
-    """Perturbed check loss ``rho_tau(t) - (eps/2) ln(eps + |t|)``."""
-    eps = float(eps)
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    t_arr = np.asarray(t, dtype=float)
-    out = check_loss(t_arr, tau) - 0.5 * eps * np.log(eps + np.abs(t_arr))
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def majorizer_value(r, r_prev, tau, eps):
-    """Quadratic majorizer of the smoothed check loss, tangent at ``r_prev``.
-
-    ``1/4 [r^2/(eps+|r_prev|) + (4 tau - 2) r + c]`` with the constant solved
-    from the tangency requirement at ``r_prev``.
-    """
-    eps = float(eps)
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    r = np.asarray(r, dtype=float)
-    r_prev = np.asarray(r_prev, dtype=float)
-    denom = eps + np.abs(r_prev)
-    c = (4.0 * smoothed_check_loss(r_prev, tau, eps)
-         - r_prev ** 2 / denom - (4.0 * tau - 2.0) * r_prev)
-    out = 0.25 * (r ** 2 / denom + (4.0 * tau - 2.0) * r + c)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def _perturbed_l1(beta, eps):

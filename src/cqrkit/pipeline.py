@@ -8,13 +8,13 @@ the final result's diagnostics under ``"pilot"``.
 
 At ``p >= n`` the unregularized minimizer is not unique: every interpolant
 attains objective 0, so it says nothing about which coefficients matter
-(ADMM, MM and IP would return the least-L2-norm interpolant, which shrinks
-the truth by about ``n / p``; CD an interpolating vertex).  The
-pilot is then a forward stepwise selection (forward regression, Wang 2009)
-stopped by a max-score test: starting from the intercepts alone, each step
-refits the unregularized model on the selected columns with
-``pilot_algorithm`` and adds the column with the largest rank-score
-statistic
+(ADMM and MM would return the least-L2-norm interpolant, which shrinks
+the truth by about ``n / p``, IP the same on unit-norm columns, and CD an
+interpolating vertex).  The pilot is then a forward stepwise selection
+(forward regression, Wang 2009) stopped by a max-score test: starting from
+the intercepts alone, each step refits the unregularized model on the
+selected columns with ``pilot_algorithm`` and adds the column with the
+largest rank-score statistic
 
     |x_j' psi| / sqrt(V * x_j' x_j),   psi_i = sum_k (tau_k - 1{r_ik < 0}),
 
@@ -22,7 +22,8 @@ while that statistic exceeds ``Phi^-1(1 - 0.1 / (2p))``.  ``V`` is the
 variance of ``psi_i`` at the true coefficients, so the threshold is the
 familywise 0.1-level Bonferroni bound on the largest null statistic, the
 pivotal level of Belloni & Chernozhukov (2011).  The pilot is the final
-refit, exactly zero off the selected columns.
+refit, exactly zero off the selected columns.  ``pilot`` runs this stage
+alone, so that several final-stage fits can share one pilot.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .core import (
 from .ip import fit_ip
 from .mm import fit_mm
 
-__all__ = ["SOLVERS", "FitRequest", "fit"]
+__all__ = ["SOLVERS", "FitRequest", "fit", "pilot"]
 
 SOLVERS = {
     "admm": fit_admm,
@@ -141,17 +142,36 @@ def _forward_pilot(request: FitRequest) -> np.ndarray:
     return pilot
 
 
-def fit(request: FitRequest) -> FitResult:
-    """Run a fit request, including the pilot stage when regularized."""
+def pilot(request: FitRequest) -> np.ndarray:
+    """Pilot coefficients of a request: the forward selection at ``p >= n``,
+    else the unregularized ``pilot_algorithm`` fit.
+
+    Raises ``ConvergenceError`` naming the pilot stage when a pilot fit does
+    not converge.
+    """
+    if request.data.p >= request.data.n:
+        return _forward_pilot(request)
+    return _pilot_fit(request, request.data).coefficients
+
+
+_pilot_stage = pilot            # ``fit``'s keyword shadows the name
+
+
+def fit(request: FitRequest, pilot: np.ndarray | None = None) -> FitResult:
+    """Run a fit request, including the pilot stage when regularized.
+
+    A regularized request takes ``pilot`` as its pilot coefficients when it
+    is given, instead of fitting them; an unregularized one rejects it.
+    """
     fitter = _solver(request.algorithm)
     if not request.regularized:
+        if pilot is not None:
+            raise ValueError("pilot given but the request is not regularized")
         return fitter(request.data, request.levels, None, request.options)
 
-    if request.data.p >= request.data.n:
-        pilot = _forward_pilot(request)
-    else:
-        pilot = _pilot_fit(request, request.data).coefficients
+    if pilot is None:
+        pilot = _pilot_stage(request)
     penalty = PenaltySpec.adaptive_lasso(request.lam, pilot)
     result = fitter(request.data, request.levels, penalty, request.options)
-    result.diagnostics["pilot"] = pilot.copy()
+    result.diagnostics["pilot"] = penalty.pilot.copy()
     return result

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
-from cqrkit import Dataset, QuantileLevels, sample_quantile
+from cqrkit import Dataset, QuantileLevels, check_loss, sample_quantile
 
 
 def stack_composite(data: Dataset, levels: QuantileLevels):
@@ -155,3 +155,31 @@ def quantile_objective_scan(values, tau):
         if obj < best_obj - 1e-12:
             best_q, best_obj = q, obj
     return best_q, best_obj
+
+
+def smoothed_check_loss(t, tau, eps):
+    """MM's perturbed check loss ``rho_tau(t) - (eps/2) ln(eps + |t|)``."""
+    eps = float(eps)
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    t_arr = np.asarray(t, dtype=float)
+    out = check_loss(t_arr, tau) - 0.5 * eps * np.log(eps + np.abs(t_arr))
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def majorizer_value(r, r_prev, tau, eps):
+    """MM's quadratic majorizer of the smoothed check loss, tangent at ``r_prev``.
+
+    ``1/4 [r^2/(eps+|r_prev|) + (4 tau - 2) r + c]`` with the constant solved
+    from the tangency requirement at ``r_prev``.
+    """
+    eps = float(eps)
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    r = np.asarray(r, dtype=float)
+    r_prev = np.asarray(r_prev, dtype=float)
+    denom = eps + np.abs(r_prev)
+    c = (4.0 * smoothed_check_loss(r_prev, tau, eps)
+         - r_prev ** 2 / denom - (4.0 * tau - 2.0) * r_prev)
+    out = 0.25 * (r ** 2 / denom + (4.0 * tau - 2.0) * r + c)
+    return float(out) if np.ndim(out) == 0 else out

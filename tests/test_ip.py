@@ -189,6 +189,14 @@ def _highs_optimum(data, levels, penalty=None):
     An adaptive-lasso penalty adds one row ``beta_j = u_j - v_j`` per active
     column with cost ``lam / pilot_j^2`` on ``u_j + v_j``; inactive columns
     are fixed at zero.
+
+    HiGHS's feasibility tolerances are absolute, so the program is solved
+    in the units of the residuals and its optimum multiplied back: ``y`` is
+    divided by its largest least-squares residual, or by ``max|y|`` where
+    least squares interpolates.  (``max|y|`` alone fails when one column is
+    in large units: ``y`` is then large and the residuals are not.)  With
+    the pilot fixed the objective has degree 1 in ``(y, b, beta)``, so the
+    rescaling is exact.
     """
     n, p, K = data.n, data.p, levels.K
     Xs = np.hstack([np.kron(np.eye(K), np.ones((n, 1))), np.tile(data.X, (K, 1))])
@@ -196,7 +204,12 @@ def _highs_optimum(data, levels, penalty=None):
     N = n * K
     c = np.concatenate([np.zeros(K + p), taus, 1.0 - taus])
     A = np.hstack([Xs, np.eye(N), -np.eye(N)])
-    b = np.tile(data.Y, K)
+    D = np.column_stack([np.ones(n), data.X])
+    ls = data.Y - D @ np.linalg.lstsq(D, data.Y, rcond=None)[0]
+    unit = float(np.max(np.abs(ls)))
+    if unit <= 1e-10 * np.max(np.abs(data.Y)):
+        unit = float(np.max(np.abs(data.Y))) or 1.0
+    b = np.tile(data.Y / unit, K)
     bounds = [(None, None)] * (K + p) + [(0, None)] * (2 * N)
     if penalty is not None and penalty.regularized:
         active = np.abs(penalty.pilot) >= 1e-6
@@ -211,7 +224,7 @@ def _highs_optimum(data, levels, penalty=None):
             bounds[K + j] = (0, 0)
     res = linprog(c, A_eq=A, b_eq=b, bounds=bounds, method="highs")
     assert res.status == 0
-    return res.fun
+    return res.fun * unit
 
 
 def _degenerate_case(name):
@@ -244,6 +257,11 @@ def _degenerate_case(name):
         X = rng.normal(size=(n, 11))
         levels = QuantileLevels.grid(9)
         penalty = PenaltySpec.adaptive_lasso(50.0, rng.normal(size=11))
+    elif name == "small-units-nine-levels":
+        rng = np.random.default_rng(0)
+        n = 52
+        X = rng.normal(size=(n, 23))
+        levels = QuantileLevels.grid(9)
     elif name.startswith("wide-"):
         # (n, p, K) of a p > n or nearly square design
         n, p, K = (int(part) for part in name[5:].split("x"))
@@ -256,12 +274,14 @@ def _degenerate_case(name):
     Y = X @ beta + rng.standard_t(3, size=n)
     if name.startswith("integer-y"):
         Y = np.round(Y)
+    elif name.startswith("small-units"):
+        Y *= 7.5e-6 / np.max(np.abs(Y))
     return Dataset(X, Y), levels, penalty
 
 
 DEGENERATE = ["duplicated-column", "column-in-large-units", "intercept-column",
               "one-hot-block", "p-above-n", "intercept-only", "tau=0.01",
-              "tau=0.99"]
+              "tau=0.99", "small-units-nine-levels"]
 # penalized fits and the sizes of a wide and a nearly square design, on
 # which coordinate descent once claimed points short of the optimum
 CD_DEGENERATE = DEGENERATE + ["integer-y-nine-levels-lam50",
@@ -280,3 +300,21 @@ def test_degenerate_designs_reach_the_lp_optimum(fitter, name):
     assert np.all(np.isfinite(fit.intercepts))
     assert np.all(np.isfinite(fit.coefficients))
     assert abs(fit.objective - best) <= 1e-8 * (1.0 + abs(best))
+
+
+def test_wide_design_with_a_large_unit_column_reaches_zero():
+    # p > n with one column in units 1e8: an interpolant attains 0.  On the
+    # raw columns the least-squares steps lose the other columns to the
+    # large one, and the fit stops far above 0 claiming convergence.
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((30, 70))
+    Y = 1.0 + X[:, 0] + rng.standard_t(3, 30)
+    X[:, 0] *= 1e8
+    fit = fit_ip(Dataset(X, Y), QuantileLevels.single(0.3))
+    assert fit.converged
+    assert fit.objective <= 1e-8
+    # the dual is feasible in the columns' own units
+    Xs = np.column_stack([np.ones(30), X])
+    b = Xs.T @ np.full(30, 0.7)
+    residual = np.max(np.abs(Xs.T @ fit.diagnostics["dual"] - b))
+    assert residual <= 1e-8 * np.max(np.abs(b))

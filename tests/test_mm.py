@@ -5,9 +5,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cqrkit import Dataset, PenaltySpec, QuantileLevels, SolverOptions
-from cqrkit.mm import fit_mm, majorizer_value, smoothed_check_loss
+from cqrkit.mm import fit_mm
 
-from oracles import penalized_qr_1d_exact, qr_exact
+from oracles import (
+    majorizer_value,
+    penalized_qr_1d_exact,
+    qr_exact,
+    smoothed_check_loss,
+)
 
 
 def test_smoothed_loss_known_values():

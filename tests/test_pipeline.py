@@ -16,7 +16,7 @@ from cqrkit import (
     SolverOptions,
     objective,
 )
-from cqrkit.pipeline import SOLVERS, FitRequest, fit
+from cqrkit.pipeline import SOLVERS, FitRequest, fit, pilot
 
 ALGOS = ("admm", "mm", "cd", "ip")
 
@@ -155,6 +155,41 @@ def test_pilot_failure_names_the_stage():
                        regularized=True, lam=0.5, options=opts))
 
 
+@pytest.mark.parametrize("n, p", [(40, 3), (30, 45)])
+def test_given_pilot_reproduces_the_two_stage_fit(n, p):
+    # the pilot stage alone, then the final stage on its result, is the
+    # same fit bit for bit, at p < n and at p >= n (forward selection)
+    data = _gaussian(n, p, 41)
+    levels = QuantileLevels.grid(3)
+    for algorithm in ALGOS:
+        request = FitRequest(data, levels, algorithm=algorithm,
+                             regularized=True, lam=0.5, pilot_algorithm="ip")
+        whole = fit(request)
+        coefficients = pilot(request)
+        staged = fit(request, pilot=coefficients)
+        assert coefficients.tobytes() == whole.diagnostics["pilot"].tobytes()
+        assert staged.diagnostics["pilot"].tobytes() == coefficients.tobytes()
+        assert staged.diagnostics["pilot"] is not coefficients
+        assert staged.coefficients.tobytes() == whole.coefficients.tobytes()
+        assert staged.intercepts.tobytes() == whole.intercepts.tobytes()
+        assert staged.objective == whole.objective
+
+
+def test_given_pilot_is_validated():
+    data = _gaussian(20, 3, 43)
+    levels = QuantileLevels.single(0.5)
+    plain = FitRequest(data, levels, algorithm="ip")
+    with pytest.raises(ValueError, match="not regularized"):
+        fit(plain, pilot=np.ones(3))
+    request = FitRequest(data, levels, algorithm="ip", regularized=True,
+                         lam=0.5)
+    with pytest.raises(ValueError, match="pilot length 2 does not match p=3"):
+        fit(request, pilot=np.ones(2))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fit(request, pilot=np.array([1.0, bad, 1.0]))
+
+
 @pytest.mark.parametrize("algorithm", ALGOS)
 @pytest.mark.parametrize("K", [1, 3])
 def test_wide_pilot_is_forward_selected_refit(algorithm, K):
@@ -182,7 +217,9 @@ def test_wide_pilot_is_forward_selected_refit(algorithm, K):
 @pytest.mark.parametrize("K", [1, 3])
 def test_wide_unregularized_fit_is_least_l2_interpolant(algorithm, tol, K):
     # the module docstring's reason for not using this fit as the pilot;
-    # MM's tolerance is its smoothing constant eps_mm = 1e-4, with margin
+    # MM's tolerance is its smoothing constant eps_mm = 1e-4, with margin.
+    # IP fits on unit-norm columns, so its interpolant is least-L2 in that
+    # metric, and it moves exactly with a rescaling of the columns.
     rng = np.random.default_rng(5)
     n, p = 30, 70
     X = rng.normal(size=(n, p))
@@ -190,11 +227,20 @@ def test_wide_unregularized_fit_is_least_l2_interpolant(algorithm, tol, K):
     levels = QuantileLevels.single(0.3) if K == 1 else QuantileLevels.grid(K)
     stacked = np.hstack([np.kron(np.eye(K), np.ones((n, 1))),
                          np.tile(X, (K, 1))])
-    least_l2 = np.linalg.pinv(stacked) @ np.tile(data.Y, K)
+    metric = np.ones(K + p)
+    if algorithm == "ip":
+        metric[K:] = np.linalg.norm(X, axis=0)
+    least_l2 = np.linalg.pinv(stacked / metric) @ np.tile(data.Y, K) / metric
     res = SOLVERS[algorithm](data, levels)
     assert res.converged
     theta = np.concatenate([res.intercepts, res.coefficients])
     assert np.max(np.abs(theta - least_l2)) <= tol * (1.0 + np.max(np.abs(least_l2)))
+    if algorithm == "ip":
+        units = np.exp(rng.uniform(-8.0, 8.0, size=p))
+        rescaled = SOLVERS[algorithm](Dataset(X * units, data.Y), levels)
+        back = rescaled.coefficients * units
+        assert np.max(np.abs(back - res.coefficients)) <= tol * (
+            1.0 + np.max(np.abs(res.coefficients)))
 
 
 # ---------------------------------------------------------- solver agreement

@@ -1,11 +1,15 @@
 """Simulation harness tests: generators, metrics, and the replication
 runner's accounting (seeding, failures, means)."""
 
+import time
+
 import numpy as np
 import pytest
 
+import cqrkit.pipeline as pipeline
 import cqrkit.simlab as simlab
 from cqrkit import ConvergenceError, QuantileLevels
+from cqrkit.cli import PRESETS
 from cqrkit.simlab import (
     SimConfig,
     SimReport,
@@ -277,3 +281,147 @@ def test_metadata_records_operating_point():
     assert md["base_seed"] == 42
     assert md["taus"] == [0.3]
     assert md["true_support_size"] == 2
+
+
+# ------------------------------------------------------------ shared pilot
+
+ALGOS = ("admm", "mm", "cd", "ip")
+
+
+def _preset_config(preset, n, p, reps=2):
+    levels, _, support, regularized, pilot = PRESETS[preset]
+    return SimConfig(n=n, p=p, levels=levels(), algorithms=ALGOS, reps=reps,
+                     base_seed=11, true_support_size=support,
+                     regularized=regularized, pilot_algorithm=pilot)
+
+
+def _count_unpenalized(monkeypatch, tag):
+    """Wrap ``pipeline.SOLVERS[tag]``; the list grows by one per pilot call
+    (the pilot stage is the only caller without a penalty)."""
+    calls = []
+    solver = pipeline.SOLVERS[tag]
+
+    def counted(data, levels, penalty=None, options=None):
+        if penalty is None:
+            calls.append(data.p)
+        return solver(data, levels, penalty, options)
+
+    monkeypatch.setitem(pipeline.SOLVERS, tag, counted)
+    return calls
+
+
+def _replicate(config, rep):
+    truth_seed, data_seed = simlab._rep_seeds(config.base_seed, rep)
+    truth = generate_truth(config.p, config.true_support_size, truth_seed)
+    return truth, generate_data(config.n, config.p, truth, config.intercept,
+                                data_seed)
+
+
+@pytest.mark.parametrize("preset, n, p", [("qr-reg", 80, 100),
+                                          ("cqr-reg", 60, 8)])
+def test_pinned_pilot_is_fitted_once_per_replicate(monkeypatch, preset, n, p):
+    # at p >= n one pilot is a forward selection of several refits; the
+    # run must make exactly the calls of one pilot per replicate
+    config = _preset_config(preset, n, p)
+    assert config.pilot_algorithm == "admm"
+    calls = _count_unpenalized(monkeypatch, "admm")
+    per_rep = []
+    for rep in range(config.reps):
+        request = pipeline.FitRequest(
+            _replicate(config, rep)[1], config.levels, regularized=True,
+            lam=config.lam, pilot_algorithm="admm")
+        before = len(calls)
+        pipeline.pilot(request)
+        per_rep.append(len(calls) - before)
+    calls.clear()
+    report = run_experiment(config)
+    assert all(row.failures == 0 for row in report.rows)
+    assert len(calls) == sum(per_rep)
+    if p < n:
+        assert per_rep == [1] * config.reps
+    else:
+        assert min(per_rep) >= 2    # several forward steps per pilot
+
+
+@pytest.mark.parametrize("preset, n, p", [("qr-reg", 80, 100),
+                                          ("cqr-reg", 60, 8)])
+def test_shared_pilot_matches_separate_fits_bit_for_bit(preset, n, p):
+    config = _preset_config(preset, n, p)
+    seen = {}
+    report = run_experiment(config, on_fit=lambda tag, rep, req, res:
+                            seen.__setitem__((tag, rep), res))
+    rows = {row.algorithm: row for row in report.rows}
+    for tag in ALGOS:
+        errors, nts, nfs = [], [], []
+        for rep in range(config.reps):
+            truth, data = _replicate(config, rep)
+            alone = pipeline.fit(pipeline.FitRequest(
+                data, config.levels, algorithm=tag, regularized=True,
+                lam=config.lam, pilot_algorithm=config.pilot_algorithm))
+            shared = seen[(tag, rep)]
+            for name in ("intercepts", "coefficients"):
+                assert getattr(shared, name).tobytes() == \
+                    getattr(alone, name).tobytes(), (tag, rep, name)
+            assert shared.diagnostics["pilot"].tobytes() == \
+                alone.diagnostics["pilot"].tobytes()
+            assert shared.objective == alone.objective
+            errors.append(coefficient_error(alone.coefficients, truth))
+            nt, nf = selection_counts(alone.coefficients, truth,
+                                      config.selection_threshold)
+            nts.append(nt)
+            nfs.append(nf)
+        row = rows[tag]
+        assert row.mean_error == float(np.mean(errors))
+        assert (row.mean_N_T, row.mean_N_F) == (float(np.mean(nts)),
+                                                float(np.mean(nfs)))
+        assert (row.failures, row.flagged) == (0, False)
+
+
+def test_failed_shared_pilot_fails_every_algorithm(monkeypatch):
+    config = _preset_config("cqr-reg", 60, 8, reps=3)
+    solver = pipeline.SOLVERS["admm"]
+    pilots = []
+
+    def stuck(data, levels, penalty=None, options=None):
+        result = solver(data, levels, penalty, options)
+        if penalty is None:
+            pilots.append(data.p)
+            result.converged = False
+        return result
+
+    monkeypatch.setitem(pipeline.SOLVERS, "admm", stuck)
+    fits = []
+    report = run_experiment(config, on_fit=lambda *args: fits.append(args))
+    assert pilots == [8] * config.reps           # one pilot per replicate
+    assert fits == []
+    for row in report.rows:
+        assert (row.failures, row.flagged) == (config.reps, True)
+        assert np.isnan(row.mean_error) and np.isnan(row.mean_seconds)
+
+
+def test_mean_seconds_includes_the_shared_pilot(monkeypatch):
+    config = _preset_config("cqr-reg", 60, 8, reps=2)
+    real_pilot = simlab.pilot
+
+    def slow_pilot(request):
+        time.sleep(0.05)
+        return real_pilot(request)
+
+    monkeypatch.setattr(simlab, "pilot", slow_pilot)
+    report = run_experiment(config)
+    for row in report.rows:
+        assert row.failures == 0
+        assert row.mean_seconds >= 0.05
+
+
+def test_unpinned_pilot_is_not_shared(monkeypatch):
+    def refuse(request):
+        raise AssertionError("an unpinned pilot was shared")
+
+    monkeypatch.setattr(simlab, "pilot", refuse)
+    config = _small_config(algorithms=("cd", "ip"), reps=1, regularized=True,
+                           lam=0.5)
+    pilots = {}
+    run_experiment(config, on_fit=lambda tag, rep, req, res: pilots.
+                   __setitem__(req.pilot_algorithm, res.diagnostics["pilot"]))
+    assert sorted(pilots) == ["cd", "ip"]
