@@ -16,14 +16,15 @@ with multiplier ``u`` and step ``rho``:
 
 The loop stops when the primal residual ``Y* - X* theta - r`` and the dual
 residual ``rho X'(r - r_prev)`` both fall under tolerances built from
-``eps_abs``/``eps_rel``:
+``eps_abs``/``eps_rel`` (Boyd et al. 2011, section 3.3):
 
     eps_primal = sqrt(nK) eps_abs + eps_rel * max(||X* theta||^2, ||r||^2, ||Y*||^2)
     eps_dual   = sqrt(len dual) eps_abs + eps_rel * ||X*' u||^2
 
 When penalized, the dual residual drops the intercept columns, and the
 primal scale is ``max(||X beta||^2 over the K blocks, ||r||^2,
-||Y* - intercepts||^2)``.
+||Y* - intercepts||^2)``.  The dual test, which fails first, runs every
+iteration; the primal side only when it passes, or on the last iteration.
 
 The loop never materializes the stacked design: every ``X*`` product goes
 through ``core.stacked_fit`` and ``core.stacked_tdot`` on (K, n) arrays.
@@ -34,7 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import cho_factor, LinAlgError
+from scipy.linalg.lapack import dpotrs
 
 from .core import (
     Dataset,
@@ -71,21 +73,25 @@ class AdmmState:
     penalized: bool
 
 
-def _cd_quadratic(G, h, thresh, active, x, tol, max_sweeps):
+def _cd_quadratic(G, h, thresh, diag, order, x, tol, max_sweeps):
     """Cyclic coordinate descent on 1/2 x'Gx - h'x + sum_j thresh_j |x_j|.
 
-    ``x`` is updated in place (warm start); coordinates with ``active`` false
-    or zero curvature are skipped.  Returns the sweep count.
+    ``x`` is updated in place (warm start); only the coordinates in
+    ``order``, each with ``diag[j] = G[j, j] > 0``, move.  Returns the sweeps.
     """
-    diag = np.diag(G)
-    order = [j for j in range(len(h)) if active[j] and diag[j] > 0.0]
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         biggest = 0.0
         g = G @ x
         for j in order:
             s = h[j] - g[j] + diag[j] * x[j]
-            new = _soft_threshold(s, thresh[j]) / diag[j]
+            t = thresh[j]
+            if s > t:
+                new = (s - t) / diag[j]
+            elif s < -t:
+                new = (s + t) / diag[j]
+            else:   # as sign(s) max(|s| - t, 0), which is -0.0 for s < 0
+                new = (0.0 * s if s else 0.0) / diag[j]
             step = new - x[j]
             if step != 0.0:
                 x[j] = new
@@ -106,7 +112,8 @@ def fit_admm(data: Dataset, levels: QuantileLevels,
     weighted-lasso least-squares solve (warm-started coordinate descent at
     tolerance ``tol/10``); without one it is a cached Cholesky solve of the
     normal equations, with a tiny ridge added only if the stacked design is
-    rank-deficient.
+    rank-deficient.  The primal side of the stopping rule is formed only
+    when the dual test passes, or on the last iteration.
     """
     penalty = PenaltySpec.none() if penalty is None else penalty
     opts = SolverOptions() if options is None else options
@@ -118,12 +125,13 @@ def fit_admm(data: Dataset, levels: QuantileLevels,
 
     penalized = penalty.regularized
     weights, active = penalty_terms(penalty, p)
+    G = stacked_gram(X, np.ones((K, n)))     # Gram matrix of the stacked design
     if penalized:
-        full_active = np.concatenate([np.ones(K, dtype=bool), active])
         thresh = np.zeros(d)
         thresh[K:] = penalty.lam * weights / rho
-
-    G = stacked_gram(X, np.ones((K, n)))     # Gram matrix of the stacked design
+        diag = np.diag(G)
+        order = [j for j in range(d)
+                 if (j < K or active[j - K]) and diag[j] > 0.0]
 
     ridge = False
     factor = None
@@ -147,37 +155,42 @@ def fit_admm(data: Dataset, levels: QuantileLevels,
     iterations = 0
     primal_norm = dual_norm = np.inf
     eps_primal = eps_dual = np.nan
+    primal_abs = np.sqrt(n * K) * opts.eps_abs
+    dual_abs = np.sqrt(p if penalized else d) * opts.eps_abs
+    y_scale = K * np.sum(Y ** 2)
 
     for iterations in range(1, opts.max_iter + 1):
-        c = Y[None, :] - fit_mat + u / rho
+        u_scaled = u / rho
+        c = Y[None, :] - fit_mat + u_scaled
         r_new = _soft_threshold(c - shift, 0.5 / rho)
 
-        h = stacked_tdot(X, Y[None, :] - r_new + u / rho)
+        h = stacked_tdot(X, Y[None, :] - r_new + u_scaled)
         if penalized:
-            inner_sweeps += _cd_quadratic(G, h, thresh, full_active, theta,
+            inner_sweeps += _cd_quadratic(G, h, thresh, diag, order, theta,
                                           tol=opts.tol * 0.1, max_sweeps=200)
         else:
-            theta = cho_solve(factor, h)
+            theta, _ = dpotrs(factor[0], h, lower=factor[1])
         fit_mat = stacked_fit(X, theta)
         u = u + rho * (Y[None, :] - r_new - fit_mat)
 
         # stopping rule, as in the module docstring
-        primal = Y[None, :] - fit_mat - r_new
         dual = rho * stacked_tdot(X, r_new - r)
         if penalized:
             dual = dual[K:]
+        eps_dual = dual_abs + opts.eps_rel * np.sum(stacked_tdot(X, u) ** 2)
+        dual_norm = np.sqrt(dual.dot(dual))
+        r_prev, r = r, r_new
+        if dual_norm > eps_dual and iterations < opts.max_iter:
+            continue
+        primal = (Y[None, :] - fit_mat - r_new).ravel()
+        if penalized:
             scale = max(np.sum((fit_mat - theta[:K, None]) ** 2),
                         np.sum(r_new ** 2),
                         np.sum((theta[:K][:, None] - Y[None, :]) ** 2))
         else:
-            scale = max(np.sum(fit_mat ** 2), np.sum(r_new ** 2),
-                        K * np.sum(Y ** 2))
-        eps_primal = np.sqrt(n * K) * opts.eps_abs + opts.eps_rel * scale
-        eps_dual = (np.sqrt(dual.size) * opts.eps_abs
-                    + opts.eps_rel * np.sum(stacked_tdot(X, u) ** 2))
-        primal_norm = np.linalg.norm(primal)
-        dual_norm = np.linalg.norm(dual)
-        r_prev, r = r, r_new
+            scale = max(np.sum(fit_mat ** 2), np.sum(r_new ** 2), y_scale)
+        eps_primal = primal_abs + opts.eps_rel * scale
+        primal_norm = np.sqrt(primal.dot(primal))
         if primal_norm <= eps_primal and dual_norm <= eps_dual:
             converged = True
             break

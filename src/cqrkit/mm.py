@@ -98,6 +98,7 @@ def fit_mm(data: Dataset, levels: QuantileLevels,
     max_violation = -np.inf
     converged = False
     iterations = 0
+    base = None                           # surrogate at (theta, R), carried
 
     for iterations in range(1, opts.max_iter + 1):
         if penalized:
@@ -108,8 +109,10 @@ def fit_mm(data: Dataset, levels: QuantileLevels,
                 frozen |= small
                 theta[K:][small] = 0.0
                 R = Y[None, :] - theta[:K][:, None] - (X @ theta[K:])[None, :]
+                base = None
 
-        base = surrogate_objective(theta, R)
+        if base is None:
+            base = surrogate_objective(theta, R)
 
         free = ~frozen                    # covariates still in the system
         Xf = X[:, free]
@@ -138,12 +141,11 @@ def fit_mm(data: Dataset, levels: QuantileLevels,
         theta_new[K:][free] = sol[K:]
         R_new = Y[None, :] - theta_new[:K][:, None] - (X @ theta_new[K:])[None, :]
 
-        gain = surrogate_objective(theta_new, R_new) - base
-        if gain > max_violation:
-            max_violation = gain
+        value = surrogate_objective(theta_new, R_new)
+        max_violation = max(max_violation, value - base)
 
         delta = np.max(np.abs(theta_new - theta))
-        theta, R = theta_new, R_new
+        theta, R, base = theta_new, R_new, value
         if delta < opts.tol:
             converged = True
             break

@@ -8,8 +8,16 @@ one-dimensional subproblems.  Tests treat these as ground truth.
 from itertools import combinations
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from cqrkit import Dataset, QuantileLevels, check_loss, sample_quantile
+from cqrkit.core import (
+    _soft_threshold,
+    penalty_terms,
+    stacked_fit,
+    stacked_gram,
+    stacked_tdot,
+)
 
 
 def stack_composite(data: Dataset, levels: QuantileLevels):
@@ -183,3 +191,92 @@ def majorizer_value(r, r_prev, tau, eps):
          - r_prev ** 2 / denom - (4.0 * tau - 2.0) * r_prev)
     out = 0.25 * (r ** 2 / denom + (4.0 * tau - 2.0) * r + c)
     return float(out) if np.ndim(out) == 0 else out
+
+
+def admm_reference(data: Dataset, levels: QuantileLevels, penalty, options):
+    """``fit_admm``'s iteration, with every stopping quantity every iteration.
+
+    A plain transcription of the loop that forms the primal and dual
+    residuals, both tolerances and both norms (``np.linalg.norm``) on every
+    iteration, solves with ``cho_solve``, and runs the inner weighted-lasso
+    sweeps with the vectorized soft threshold.  Returns a dict of the final
+    iterate, the four stopping figures, ``iterations``, ``converged``,
+    ``ridge`` and ``inner_sweeps``.
+    """
+    X, Y = data.X, data.Y
+    n, p, K = data.n, data.p, levels.K
+    rho, d = options.rho, K + p
+    penalized = penalty.regularized
+    weights, active = penalty_terms(penalty, p)
+    full_active = np.concatenate([np.ones(K, dtype=bool), active])
+    thresh = np.zeros(d)
+    if penalized:
+        thresh[K:] = penalty.lam * weights / rho
+    G = stacked_gram(X, np.ones((K, n)))
+    ridge = False
+    if not penalized:
+        try:
+            factor = cho_factor(G)
+        except LinAlgError:
+            ridge = True
+            factor = cho_factor(G + 1e-8 * np.trace(G) / d * np.eye(d))
+
+    def lasso_sweeps(h, x, tol):
+        diag = np.diag(G)
+        for sweeps in range(1, 201):
+            biggest = 0.0
+            g = G @ x
+            for j in range(d):
+                if not (full_active[j] and diag[j] > 0.0):
+                    continue
+                s = h[j] - g[j] + diag[j] * x[j]
+                new = _soft_threshold(s, thresh[j]) / diag[j]
+                step = new - x[j]
+                if step != 0.0:
+                    x[j] = new
+                    g += G[:, j] * step
+                    biggest = max(biggest, abs(step))
+            if biggest < tol:
+                return sweeps
+        return 200
+
+    theta = np.zeros(d)
+    fit_mat = np.zeros((K, n))
+    r = np.tile(Y, (K, 1))
+    u = np.zeros((K, n))
+    shift = ((2.0 * levels.taus - 1.0) / (2.0 * rho))[:, None]
+    inner_sweeps, converged = 0, False
+    for iterations in range(1, options.max_iter + 1):
+        r_new = _soft_threshold(Y[None, :] - fit_mat + u / rho - shift, 0.5 / rho)
+        h = stacked_tdot(X, Y[None, :] - r_new + u / rho)
+        if penalized:
+            inner_sweeps += lasso_sweeps(h, theta, options.tol * 0.1)
+        else:
+            theta = cho_solve(factor, h)
+        fit_mat = stacked_fit(X, theta)
+        u = u + rho * (Y[None, :] - r_new - fit_mat)
+        primal = Y[None, :] - fit_mat - r_new
+        dual = rho * stacked_tdot(X, r_new - r)
+        if penalized:
+            dual = dual[K:]
+            scale = max(np.sum((fit_mat - theta[:K, None]) ** 2),
+                        np.sum(r_new ** 2),
+                        np.sum((theta[:K][:, None] - Y[None, :]) ** 2))
+        else:
+            scale = max(np.sum(fit_mat ** 2), np.sum(r_new ** 2),
+                        K * np.sum(Y ** 2))
+        eps_primal = np.sqrt(n * K) * options.eps_abs + options.eps_rel * scale
+        eps_dual = (np.sqrt(dual.size) * options.eps_abs
+                    + options.eps_rel * np.sum(stacked_tdot(X, u) ** 2))
+        primal_norm = np.linalg.norm(primal)
+        dual_norm = np.linalg.norm(dual)
+        r_prev, r = r, r_new
+        if primal_norm <= eps_primal and dual_norm <= eps_dual:
+            converged = True
+            break
+    return {"theta": theta, "r": r.ravel(), "u": u.ravel(),
+            "r_prev": r_prev.ravel(), "iterations": iterations,
+            "converged": converged, "ridge": ridge,
+            "inner_sweeps": inner_sweeps,
+            "primal_norm": float(primal_norm), "dual_norm": float(dual_norm),
+            "eps_primal": float(eps_primal), "eps_dual": float(eps_dual)}

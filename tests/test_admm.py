@@ -15,6 +15,7 @@ from cqrkit import (
 from cqrkit.admm import _cd_quadratic, fit_admm
 
 from oracles import (
+    admm_reference,
     check_loss_scalar,
     penalized_qr_1d_exact,
     qr_exact,
@@ -232,6 +233,51 @@ def test_default_options_converge_on_moderate_problem():
     assert res.iterations < 5000
 
 
+def _bytes_case(shape, penalized):
+    """A small problem of the named shape: K1, K9, wide (p > n), dup."""
+    rng = np.random.default_rng(0)
+    n, p, K = {"K1": (40, 3, 1), "K9": (30, 2, 9), "wide": (15, 25, 1),
+               "dup": (30, 3, 1)}[shape]
+    X = rng.standard_normal((n, p))
+    if shape == "dup":
+        X[:, 2] = X[:, 0]
+    Y = 1.0 + X @ rng.uniform(-1, 1, p) + rng.standard_normal(n)
+    levels = QuantileLevels.single(0.3) if K == 1 else QuantileLevels.grid(K)
+    pen = PenaltySpec.none()
+    if penalized:
+        pilot = rng.uniform(0.2, 1.5, p)
+        pilot[1] = 0.0                    # one inactive coordinate
+        pen = PenaltySpec.adaptive_lasso(0.4 * K, pilot)
+    return Dataset(X, Y), levels, pen
+
+
+@pytest.mark.parametrize("max_iter", [1, 7, 5000])
+@pytest.mark.parametrize("penalized", [False, True])
+@pytest.mark.parametrize("shape", ["K1", "K9", "wide", "dup"])
+def test_fit_matches_reference_loop_byte_for_byte(shape, penalized, max_iter):
+    # the loop forms the primal side only when the dual test passes or on
+    # the last iteration; every iterate and reported figure must still be
+    # the bytes of the loop that forms everything on every iteration
+    data, levels, pen = _bytes_case(shape, penalized)
+    opts = SolverOptions(max_iter=max_iter)
+    res = fit_admm(data, levels, pen, opts)
+    ref = admm_reference(data, levels, pen, opts)
+    K = levels.K
+    state = res.diagnostics["state"]
+    assert res.intercepts.tobytes() == ref["theta"][:K].tobytes()
+    assert res.coefficients.tobytes() == ref["theta"][K:].tobytes()
+    for name in ("r", "u", "r_prev"):
+        assert getattr(state, name).tobytes() == ref[name].tobytes()
+    assert state.beta.tobytes() == ref["theta"].tobytes()
+    assert res.iterations == ref["iterations"] == state.iteration
+    assert res.converged == ref["converged"]
+    for key in ("primal_norm", "dual_norm", "eps_primal", "eps_dual", "ridge"):
+        assert res.diagnostics[key] == ref[key]
+    assert res.diagnostics.get("inner_sweeps", 0) == ref["inner_sweeps"]
+    if shape == "dup" and not penalized:
+        assert res.diagnostics["ridge"]
+
+
 # ---------------------------------------------------------------------------
 # penalized least squares: _cd_quadratic, the loop's inner weighted-lasso solve
 # ---------------------------------------------------------------------------
@@ -241,8 +287,11 @@ def _penalized_ls(A, b, lam, weights, active=None, rho=1.0, tol=1e-8,
     """argmin (rho/2)||b - A x||^2 + lam sum_j weights_j |x_j| from zero."""
     d = A.shape[1]
     active = np.ones(d, dtype=bool) if active is None else active
+    G = A.T @ A
+    diag = np.diag(G)
+    order = [j for j in range(d) if active[j] and diag[j] > 0.0]
     x = np.zeros(d)
-    _cd_quadratic(A.T @ A, A.T @ b, lam * np.asarray(weights) / rho, active,
+    _cd_quadratic(G, A.T @ b, lam * np.asarray(weights) / rho, diag, order,
                   x, tol, max_sweeps)
     return x
 

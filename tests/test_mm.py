@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cqrkit import Dataset, PenaltySpec, QuantileLevels, SolverOptions
-from cqrkit.mm import fit_mm
+from cqrkit.core import fidelity, penalty_terms
+from cqrkit.mm import FREEZE_THRESHOLD, fit_mm
 
 from oracles import (
     majorizer_value,
@@ -130,6 +131,50 @@ def test_penalized_freezes_null_coordinate():
     assert res.coefficients[1] == 0.0
     assert res.diagnostics["frozen"][1]
     assert abs(res.coefficients[0]) > 0.5
+
+
+def _surrogate(data, levels, pen, eps, theta, frozen):
+    """Smoothed fidelity plus the perturbed penalty over unfrozen coordinates."""
+    K = levels.K
+    R = data.Y[None, :] - theta[:K][:, None] - (data.X @ theta[K:])[None, :]
+    val = fidelity(R, levels.taus)
+    val -= 0.5 * eps * np.sum(np.log(eps + np.abs(R)))
+    weights, active = penalty_terms(pen, data.p)
+    live = active & ~frozen
+    a = np.abs(theta[K:][live])
+    val += pen.lam * np.sum(weights[live] * (a - eps * np.log1p(a / eps)))
+    return float(val)
+
+
+@pytest.mark.parametrize("K", [1, 3])
+def test_descent_audit_recomputes_base_after_a_freeze(K):
+    # the loop carries the surrogate value from one iteration to the next;
+    # a freeze changes the iterate and the surrogate, so the reference
+    # rebuilds iteration t's base from the fit stopped after t - 1 iterations
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((40, 4))
+    Y = 1.0 + X @ np.array([1.0, -0.8, 0.0, 0.0]) + 0.5 * rng.standard_normal(40)
+    data = Dataset(X, Y)
+    levels = QuantileLevels.single(0.3) if K == 1 else QuantileLevels.grid(K)
+    pen = PenaltySpec.adaptive_lasso(1.0 * K, np.array([1.0, -0.8, 0.02, 0.05]))
+    eps = SolverOptions().eps_mm
+    _, active = penalty_terms(pen, 4)
+    theta = np.zeros(K + 4)
+    theta[K:][active] = pen.pilot[active]
+    frozen = ~active
+    gains, late_freezes = [], 0
+    for t in range(1, fit_mm(data, levels, pen).iterations + 1):
+        small = active & ~frozen & (np.abs(theta[K:]) < FREEZE_THRESHOLD)
+        frozen = frozen | small
+        theta[K:][small] = 0.0
+        late_freezes += int(small.sum()) if t > 1 else 0
+        base = _surrogate(data, levels, pen, eps, theta, frozen)
+        res = fit_mm(data, levels, pen, SolverOptions(max_iter=t))
+        assert np.array_equal(res.diagnostics["frozen"], frozen)
+        theta = np.concatenate([res.intercepts, res.coefficients])
+        gains.append(_surrogate(data, levels, pen, eps, theta, frozen) - base)
+        assert res.diagnostics["max_descent_violation"] == max(gains)
+    assert late_freezes > 0
 
 
 def test_descent_monotone_across_random_instances():
