@@ -15,15 +15,15 @@ with multiplier ``u`` and step ``rho``:
     u-update      u <- u + rho (Y* - r - X* theta)
 
 The loop stops when the primal residual ``Y* - X* theta - r`` and the dual
-residual ``rho X'(r - r_prev)`` both fall under tolerances built from
+residual ``rho X*'(r - r_prev)`` both fall under tolerances built from
 ``eps_abs``/``eps_rel`` (Boyd et al. 2011, section 3.3):
 
     eps_primal = sqrt(nK) eps_abs + eps_rel * max(||X* theta||^2, ||r||^2, ||Y*||^2)
-    eps_dual   = sqrt(len dual) eps_abs + eps_rel * ||X*' u||^2
+    eps_dual   = sqrt(K + p) eps_abs + eps_rel * ||X*' u||^2
 
-When penalized, the dual residual drops the intercept columns, and the
-primal scale is ``max(||X beta||^2 over the K blocks, ||r||^2,
-||Y* - intercepts||^2)``.  The dual test, which fails first, runs every
+This one display serves penalized and unpenalized fits alike: the
+theta-update moves the intercepts in both, so the dual residual keeps all
+K + p coordinates.  The dual test, which fails first, runs every
 iteration; the primal side only when it passes, or on the last iteration.
 
 The loop never materializes the stacked design: every ``X*`` product goes
@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, LinAlgError
 from scipy.linalg.lapack import dpotrs
 
 from .core import (
@@ -45,6 +44,7 @@ from .core import (
     QuantileLevels,
     SolverOptions,
     _soft_threshold,
+    cholesky,
     objective,
     penalty_terms,
     stacked_fit,
@@ -61,8 +61,7 @@ class AdmmState:
 
     ``beta`` holds the K intercepts followed by the p coefficients; ``r`` and
     ``u`` are the stacked residual and multiplier vectors; ``r_prev`` the
-    previous residual iterate (needed for the dual residual); ``penalized``
-    selects which stopping display applies.
+    previous residual iterate (needed for the dual residual).
     """
 
     beta: np.ndarray
@@ -70,7 +69,6 @@ class AdmmState:
     u: np.ndarray
     iteration: int
     r_prev: np.ndarray
-    penalized: bool
 
 
 def _cd_quadratic(G, h, thresh, diag, order, x, tol, max_sweeps):
@@ -80,9 +78,9 @@ def _cd_quadratic(G, h, thresh, diag, order, x, tol, max_sweeps):
     ``order``, each with ``diag[j] = G[j, j] > 0``, move.  Returns the sweeps.
     """
     sweeps = 0
+    g = G @ x                   # kept current by the coordinate steps
     for sweeps in range(1, max_sweeps + 1):
         biggest = 0.0
-        g = G @ x
         for j in order:
             s = h[j] - g[j] + diag[j] * x[j]
             t = thresh[j]
@@ -111,9 +109,8 @@ def fit_admm(data: Dataset, levels: QuantileLevels,
     With an adaptive-lasso penalty the coefficient update is an inner
     weighted-lasso least-squares solve (warm-started coordinate descent at
     tolerance ``tol/10``); without one it is a cached Cholesky solve of the
-    normal equations, with a tiny ridge added only if the stacked design is
-    rank-deficient.  The primal side of the stopping rule is formed only
-    when the dual test passes, or on the last iteration.
+    normal equations (``core.cholesky``, ridged if the stacked design is
+    rank-deficient).
     """
     penalty = PenaltySpec.none() if penalty is None else penalty
     opts = SolverOptions() if options is None else options
@@ -126,22 +123,15 @@ def fit_admm(data: Dataset, levels: QuantileLevels,
     penalized = penalty.regularized
     weights, active = penalty_terms(penalty, p)
     G = stacked_gram(X, np.ones((K, n)))     # Gram matrix of the stacked design
+    ridge = False
     if penalized:
         thresh = np.zeros(d)
         thresh[K:] = penalty.lam * weights / rho
         diag = np.diag(G)
         order = [j for j in range(d)
                  if (j < K or active[j - K]) and diag[j] > 0.0]
-
-    ridge = False
-    factor = None
-    if not penalized:
-        try:
-            factor = cho_factor(G)
-        except LinAlgError:
-            ridge = True
-            bump = 1e-8 * np.trace(G) / d
-            factor = cho_factor(G + bump * np.eye(d))
+    else:
+        factor, ridge = cholesky(G)
 
     theta = np.zeros(d)
     fit_mat = np.zeros((K, n))            # cache of X* theta
@@ -156,7 +146,7 @@ def fit_admm(data: Dataset, levels: QuantileLevels,
     primal_norm = dual_norm = np.inf
     eps_primal = eps_dual = np.nan
     primal_abs = np.sqrt(n * K) * opts.eps_abs
-    dual_abs = np.sqrt(p if penalized else d) * opts.eps_abs
+    dual_abs = np.sqrt(d) * opts.eps_abs
     y_scale = K * np.sum(Y ** 2)
 
     for iterations in range(1, opts.max_iter + 1):
@@ -169,26 +159,19 @@ def fit_admm(data: Dataset, levels: QuantileLevels,
             inner_sweeps += _cd_quadratic(G, h, thresh, diag, order, theta,
                                           tol=opts.tol * 0.1, max_sweeps=200)
         else:
-            theta, _ = dpotrs(factor[0], h, lower=factor[1])
+            theta, _ = dpotrs(factor, h)
         fit_mat = stacked_fit(X, theta)
         u = u + rho * (Y[None, :] - r_new - fit_mat)
 
         # stopping rule, as in the module docstring
         dual = rho * stacked_tdot(X, r_new - r)
-        if penalized:
-            dual = dual[K:]
         eps_dual = dual_abs + opts.eps_rel * np.sum(stacked_tdot(X, u) ** 2)
         dual_norm = np.sqrt(dual.dot(dual))
         r_prev, r = r, r_new
         if dual_norm > eps_dual and iterations < opts.max_iter:
             continue
         primal = (Y[None, :] - fit_mat - r_new).ravel()
-        if penalized:
-            scale = max(np.sum((fit_mat - theta[:K, None]) ** 2),
-                        np.sum(r_new ** 2),
-                        np.sum((theta[:K][:, None] - Y[None, :]) ** 2))
-        else:
-            scale = max(np.sum(fit_mat ** 2), np.sum(r_new ** 2), y_scale)
+        scale = max(np.sum(fit_mat ** 2), np.sum(r_new ** 2), y_scale)
         eps_primal = primal_abs + opts.eps_rel * scale
         primal_norm = np.sqrt(primal.dot(primal))
         if primal_norm <= eps_primal and dual_norm <= eps_dual:
@@ -196,8 +179,7 @@ def fit_admm(data: Dataset, levels: QuantileLevels,
             break
 
     state = AdmmState(beta=theta.copy(), r=r.ravel().copy(), u=u.ravel().copy(),
-                      iteration=iterations, r_prev=r_prev.ravel().copy(),
-                      penalized=penalized)
+                      iteration=iterations, r_prev=r_prev.ravel().copy())
     intercepts = theta[:K].copy()
     coefficients = theta[K:].copy()
     obj = objective(data, intercepts, coefficients, levels, penalty)

@@ -153,14 +153,18 @@ def cmd_fit(args) -> int:
     overrides = {name: getattr(args, name)
                  for name in ("max_iter", "tol", "rho", "eps_mm")
                  if getattr(args, name) is not None}
-    request = FitRequest(
-        data=data,
-        levels=QuantileLevels(np.asarray(args.tau)),
-        algorithm=args.algorithm,
-        regularized=args.lam is not None,
-        lam=args.lam,
-        options=SolverOptions(**overrides),
-    )
+    try:
+        request = FitRequest(
+            data=data,
+            levels=QuantileLevels(np.asarray(args.tau)),
+            algorithm=args.algorithm,
+            regularized=args.lam is not None,
+            lam=args.lam,
+            options=SolverOptions(**overrides),
+        )
+    except ValueError as exc:
+        _log(f"cqrkit fit: {exc}")
+        return EXIT_USAGE
     _log(f"cqrkit fit: n={data.n} p={data.p} levels={len(args.tau)} "
          f"algorithm={args.algorithm}"
          + (f" lambda={args.lam}" if args.lam is not None else ""))

@@ -12,7 +12,7 @@ fitters share, without ever forming the stacked design ``X*``:
 ``fidelity`` is the check-loss sum over (K, n) residuals, ``stacked_fit``
 the product ``X* theta``, ``stacked_tdot`` the product ``X*' V``, and
 ``stacked_gram`` the matrix ``X*' diag(D) X*`` that the MM, ADMM and
-interior-point fitters factor.
+interior-point fitters factor (MM and ADMM through ``cholesky``).
 
 Conventions
 -----------
@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor
 
 __all__ = [
     "Dataset",
@@ -51,6 +52,7 @@ __all__ = [
     "stacked_fit",
     "stacked_tdot",
     "stacked_gram",
+    "cholesky",
     "objective",
 ]
 
@@ -200,8 +202,7 @@ class SolverOptions:
     ``tol`` is the generic parameter-change threshold (MM, CD, and the inner
     penalized least-squares loop); ``rho`` is the ADMM step parameter;
     ``eps_mm`` the MM smoothing constant; ``eps_abs``/``eps_rel`` the ADMM
-    stopping tolerances; ``selection_threshold`` the magnitude above which a
-    fitted coefficient counts as selected.
+    stopping tolerances.
     """
 
     max_iter: int = 5000
@@ -210,13 +211,12 @@ class SolverOptions:
     eps_mm: float = 1e-4
     eps_abs: float = 1e-2
     eps_rel: float = 1e-4
-    selection_threshold: float = 1e-3
 
     def __post_init__(self):
         if int(self.max_iter) < 1:
             raise ValueError("max_iter must be at least 1")
         self.max_iter = int(self.max_iter)
-        for name in ("tol", "rho", "eps_mm", "selection_threshold"):
+        for name in ("tol", "rho", "eps_mm"):
             value = float(getattr(self, name))
             if not np.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be finite and positive")
@@ -403,6 +403,21 @@ def stacked_gram(X, D):
     G[K:, :K] = G[:K, K:].T
     G[K:, K:] = X.T @ (D.sum(axis=0)[:, None] * X)
     return G
+
+
+def cholesky(G, ridge=False):
+    """Upper Cholesky factor of ``G`` for LAPACK ``dpotrs``, and the ridge flag.
+
+    The factor is of ``G + 1e-8 trace(G)/d I``, and the flag true, when ``G``
+    is not numerically positive definite (e.g. p >= n) or ``ridge`` is set.
+    """
+    if not ridge:
+        try:
+            return cho_factor(G)[0], False
+        except LinAlgError:
+            pass
+    bump = 1e-8 * np.trace(G) / G.shape[0]
+    return cho_factor(G + bump * np.eye(G.shape[0]))[0], True
 
 
 def penalty_value(beta, penalty: PenaltySpec) -> float:

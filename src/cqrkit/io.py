@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io as _stringio
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -43,10 +44,13 @@ def _parse_cell(cell: str, row: int, column: str) -> float:
     if not text:
         raise CsvParseError(f"row {row}, column {column!r}: blank cell")
     try:
-        return float(text)  # period decimals only; float() is locale-free
+        value = float(text)  # period decimals only; float() is locale-free
     except ValueError:
         raise CsvParseError(
             f"row {row}, column {column!r}: not numeric: {cell!r}") from None
+    if not math.isfinite(value):
+        raise CsvParseError(f"row {row}, column {column!r}: not finite: {cell!r}")
+    return value
 
 
 def read_csv(path, response_column) -> Dataset:

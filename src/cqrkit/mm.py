@@ -28,7 +28,7 @@ curvature bounded.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve
+from scipy.linalg.lapack import dpotrs
 
 from .core import (
     Dataset,
@@ -36,6 +36,7 @@ from .core import (
     PenaltySpec,
     QuantileLevels,
     SolverOptions,
+    cholesky,
     fidelity,
     objective,
     penalty_terms,
@@ -59,9 +60,9 @@ def fit_mm(data: Dataset, levels: QuantileLevels,
            options: SolverOptions | None = None) -> FitResult:
     """Fit (composite) quantile regression by majorize-minimization.
 
-    One exact quadratic minimization (a single symmetric solve) per
-    iteration; a ridge of 1e-8 * trace/dim is added only if the majorizer
-    Hessian is not positive definite (e.g. p >= n), and flagged.
+    One exact quadratic minimization (a single Cholesky solve) per
+    iteration; from the first majorizer Hessian that is not positive
+    definite (e.g. p >= n) on, a flagged ridge of 1e-8 * trace/dim is added.
     """
     penalty = PenaltySpec.none() if penalty is None else penalty
     opts = SolverOptions() if options is None else options
@@ -127,14 +128,8 @@ def fit_mm(data: Dataset, levels: QuantileLevels,
             curv = lam * weights[free] / (2.0 * (np.abs(theta[K:][free]) + eps))
             H[K:, K:][np.diag_indices(nf)] += curv
 
-        if not ridge:
-            try:
-                sol = solve(H, rhs, assume_a="pos")
-            except LinAlgError:
-                ridge = True
-        if ridge:
-            bump = 1e-8 * np.trace(H) / (K + nf)
-            sol = solve(H + bump * np.eye(K + nf), rhs, assume_a="pos")
+        factor, ridge = cholesky(H, ridge)
+        sol, _ = dpotrs(factor, rhs)
 
         theta_new = np.zeros(d)
         theta_new[:K] = sol[:K]
@@ -158,7 +153,6 @@ def fit_mm(data: Dataset, levels: QuantileLevels,
         "ridge": ridge,
         "eps": eps,
         "frozen": frozen.copy() if penalized else None,
-        "final_residuals": R.copy(),
     }
     return FitResult(intercepts=intercepts, coefficients=coefficients,
                      iterations=iterations, converged=converged,

@@ -223,9 +223,9 @@ def admm_reference(data: Dataset, levels: QuantileLevels, penalty, options):
 
     def lasso_sweeps(h, x, tol):
         diag = np.diag(G)
+        g = G @ x
         for sweeps in range(1, 201):
             biggest = 0.0
-            g = G @ x
             for j in range(d):
                 if not (full_active[j] and diag[j] > 0.0):
                     continue
@@ -257,14 +257,8 @@ def admm_reference(data: Dataset, levels: QuantileLevels, penalty, options):
         u = u + rho * (Y[None, :] - r_new - fit_mat)
         primal = Y[None, :] - fit_mat - r_new
         dual = rho * stacked_tdot(X, r_new - r)
-        if penalized:
-            dual = dual[K:]
-            scale = max(np.sum((fit_mat - theta[:K, None]) ** 2),
-                        np.sum(r_new ** 2),
-                        np.sum((theta[:K][:, None] - Y[None, :]) ** 2))
-        else:
-            scale = max(np.sum(fit_mat ** 2), np.sum(r_new ** 2),
-                        K * np.sum(Y ** 2))
+        scale = max(np.sum(fit_mat ** 2), np.sum(r_new ** 2),
+                    K * np.sum(Y ** 2))
         eps_primal = np.sqrt(n * K) * options.eps_abs + options.eps_rel * scale
         eps_dual = (np.sqrt(dual.size) * options.eps_abs
                     + options.eps_rel * np.sum(stacked_tdot(X, u) ** 2))

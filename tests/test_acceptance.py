@@ -300,14 +300,8 @@ def _admm_stopping_holds(data, levels, opts, state):
     fit_mat = Xb[None, :] + theta[:K][:, None]
     primal = Y[None, :] - fit_mat - r_new
     dr = r_new - r_prev
-    if state.penalized:
-        dual = rho * (X.T @ dr.sum(axis=0))
-        scale = max(K * np.sum(Xb ** 2), np.sum(r_new ** 2),
-                    np.sum((theta[:K][:, None] - Y[None, :]) ** 2))
-    else:
-        dual = rho * np.concatenate([dr.sum(axis=1), X.T @ dr.sum(axis=0)])
-        scale = max(np.sum(fit_mat ** 2), np.sum(r_new ** 2),
-                    K * np.sum(Y ** 2))
+    dual = rho * np.concatenate([dr.sum(axis=1), X.T @ dr.sum(axis=0)])
+    scale = max(np.sum(fit_mat ** 2), np.sum(r_new ** 2), K * np.sum(Y ** 2))
     eps_primal = np.sqrt(n * K) * opts.eps_abs + opts.eps_rel * scale
     Xtu = np.concatenate([u.sum(axis=1), X.T @ u.sum(axis=0)])
     eps_dual = (np.sqrt(dual.size) * opts.eps_abs

@@ -167,23 +167,14 @@ def test_first_iteration_matches_stacked_formulas():
 
 
 def _direct_stopping(state, data, levels, opts):
-    """Independent transcription of the two stopping displays."""
+    """Independent transcription of the stopping display."""
     Xs, Ys, _ = stack_composite(data, levels)
-    K = levels.K
     fit = Xs @ state.beta
     r_primal = Ys - fit - state.r
-    dr = state.r - state.r_prev
-    if state.penalized:
-        Xstar = Xs[:, K:]
-        r_dual = opts.rho * (Xstar.T @ dr)
-        scale = max(np.linalg.norm(Xstar @ state.beta[K:]) ** 2,
-                    np.linalg.norm(state.r) ** 2,
-                    np.linalg.norm(Xs[:, :K] @ state.beta[:K] - Ys) ** 2)
-    else:
-        r_dual = opts.rho * (Xs.T @ dr)
-        scale = max(np.linalg.norm(fit) ** 2,
-                    np.linalg.norm(state.r) ** 2,
-                    np.linalg.norm(Ys) ** 2)
+    r_dual = opts.rho * (Xs.T @ (state.r - state.r_prev))
+    scale = max(np.linalg.norm(fit) ** 2,
+                np.linalg.norm(state.r) ** 2,
+                np.linalg.norm(Ys) ** 2)
     ep = np.sqrt(r_primal.size) * opts.eps_abs + opts.eps_rel * scale
     ed = (np.sqrt(r_dual.size) * opts.eps_abs
           + opts.eps_rel * np.linalg.norm(Xs.T @ state.u) ** 2)

@@ -127,6 +127,26 @@ def test_fit_malformed_csv_is_input_error(tmp_path, capsys):
     assert "row 2" in err and "'y'" in err
 
 
+def test_fit_non_finite_csv_is_input_error(tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    path.write_text("a,y\n1,2\nnan,3\n")
+    rc = main(["fit", "--input", str(path), "--response", "y",
+               "--tau", "0.3", "--algorithm", "cd"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_INPUT
+    assert captured.out == ""
+    assert "row 3" in captured.err and "'a'" in captured.err
+
+
+def test_fit_rejected_solver_option_exits_64(table, capsys):
+    rc = main(["fit", "--input", str(table), "--response", "y",
+               "--tau", "0.3", "--algorithm", "cd", "--max-iter", "0"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("cqrkit fit: ") and "max_iter" in captured.err
+
+
 def test_fit_usage_errors_exit_64(table):
     base = ["fit", "--input", str(table), "--response", "y"]
     assert _usage_exit(base) == EXIT_USAGE  # --tau/--algorithm missing

@@ -442,7 +442,6 @@ def test_solver_options_defaults_and_validation():
     assert opts.eps_mm == 1e-4
     assert opts.eps_abs == 1e-2
     assert opts.eps_rel == 1e-4
-    assert opts.selection_threshold == 1e-3
     with pytest.raises(ValueError):
         SolverOptions(max_iter=0)
     with pytest.raises(ValueError):

@@ -66,6 +66,13 @@ def test_non_numeric_cell_names_row_and_column(tmp_path):
         read_csv(path, "y")
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_cell_names_row_and_column(tmp_path, cell):
+    path = _write(tmp_path, f"a,y\n1,2\n{cell},3\n")
+    with pytest.raises(CsvParseError, match=r"row 3, column 'a'.*not finite"):
+        read_csv(path, "y")
+
+
 def test_ragged_row_names_row(tmp_path):
     path = _write(tmp_path, "a,y\n1,2\n3\n")
     with pytest.raises(CsvParseError, match="row 3"):

@@ -1,5 +1,7 @@
 """Tests for the majorize-minimization fitter."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -229,3 +231,18 @@ def test_rank_deficient_design_uses_ridge():
     res = fit_mm(Dataset(X, Y), QuantileLevels.single(0.3))
     assert res.converged
     assert res.diagnostics["ridge"]
+
+
+def test_one_hot_block_takes_the_ridge_without_warnings():
+    # a one-hot block beside the intercept makes the majorizer Hessian
+    # singular; the ridge factorization solves it without LinAlgWarning
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((200, 6))
+    X[:, :3] = np.eye(3)[rng.integers(0, 3, 200)]
+    Y = 1.0 + X[:, :4] @ rng.uniform(-1, 1, 4) + rng.standard_normal(200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fit_mm(Dataset(X, Y), QuantileLevels.single(0.3))
+    assert res.converged
+    assert res.diagnostics["ridge"]
+    assert res.iterations == 162
