@@ -389,19 +389,24 @@ def stacked_tdot(X, V):
     return np.concatenate([V.sum(axis=1), X.T @ V.sum(axis=0)])
 
 
-def stacked_gram(X, D):
+def stacked_gram(X, D, cols=None):
     """``X*' diag(D) X*`` for the stacked composite design, built blockwise.
 
     ``D`` is a (K, n) array of row weights in the level-major layout of
     ``X*``; the stacked design itself is never formed.  The result is the
     (K + p) x (K + p) matrix ``[[diag(D 1), D X], [X' D', X' diag(1' D) X]]``.
+    Given ``cols`` (indices into the columns of ``X``), only the intercept
+    columns and those of ``cols`` are built: the (K + p) x (K + len(cols))
+    block ``G[:, live]``, ``live = [0..K-1, K + cols]``.
     """
     K, p = D.shape[0], X.shape[1]
-    G = np.empty((K + p, K + p))
+    Xc = X if cols is None else X[:, cols]
+    G = np.empty((K + p, K + Xc.shape[1]))
     G[:K, :K] = np.diag(D.sum(axis=1))
-    G[:K, K:] = D @ X
-    G[K:, :K] = G[:K, K:].T
-    G[K:, K:] = X.T @ (D.sum(axis=0)[:, None] * X)
+    DX = D @ X
+    G[:K, K:] = DX if cols is None else DX[:, cols]
+    G[K:, :K] = DX.T
+    G[K:, K:] = X.T @ (D.sum(axis=0)[:, None] * Xc)
     return G
 
 

@@ -194,12 +194,15 @@ def majorizer_value(r, r_prev, tau, eps):
 
 
 def admm_reference(data: Dataset, levels: QuantileLevels, penalty, options):
-    """``fit_admm``'s iteration, with every stopping quantity every iteration.
+    """``fit_admm``'s iteration in its unclipped form, every quantity every time.
 
-    A plain transcription of the loop that forms the primal and dual
-    residuals, both tolerances and both norms (``np.linalg.norm``) on every
-    iteration, solves with ``cho_solve``, and runs the inner weighted-lasso
-    sweeps with the vectorized soft threshold.  Returns a dict of the final
+    A plain transcription of the ADMM loop that takes the prox as a shifted
+    soft threshold and forms ``X*' (Y* - r + u/rho)``, the primal and dual
+    residuals, ``X*' u``, both tolerances and both norms
+    (``np.linalg.norm``) from (K, n) arrays on every iteration.  It solves
+    with ``cho_solve`` on the full Gram and runs the inner weighted-lasso
+    sweeps over all K + p coordinates, skipping the dead ones, with the
+    vectorized soft threshold.  Returns a dict of the final
     iterate, the four stopping figures, ``iterations``, ``converged``,
     ``ridge`` and ``inner_sweeps``.
     """

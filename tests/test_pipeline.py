@@ -155,6 +155,20 @@ def test_pilot_failure_names_the_stage():
                        regularized=True, lam=0.5, options=opts))
 
 
+def test_admm_pilot_failure_says_why():
+    # the forward pilot's first refit stops after 3 iterations; the error
+    # names the residual that failed and its tolerance
+    data = _gaussian(30, 45, 7, beta=np.r_[2.0, -2.0, np.zeros(43)])
+    request = FitRequest(data, QuantileLevels.single(0.5), algorithm="admm",
+                         regularized=True, lam=0.5,
+                         options=SolverOptions(max_iter=3))
+    with pytest.raises(ConvergenceError,
+                       match=r"pilot stage \(admm\) did not converge after 3 "
+                             r"iterations: .*the dual residual \S+ is above "
+                             r"its tolerance \S+$"):
+        pilot(request)
+
+
 @pytest.mark.parametrize("n, p", [(40, 3), (30, 45)])
 def test_given_pilot_reproduces_the_two_stage_fit(n, p):
     # the pilot stage alone, then the final stage on its result, is the
