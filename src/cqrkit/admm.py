@@ -2,48 +2,50 @@
 
 The problem
 
-    min_{b, beta}  sum_k sum_i rho_{tau_k}(y_i - b_k - x_i' beta)  [+ penalty]
+    min_{b, beta}  sum_k sum_i rho_{tau_k}(y_i - b_k - x_i' beta)
+                   [+ lam sum_j w_j |beta_j|]
 
-is rewritten with stacked residuals ``r = Y* - X* theta`` (``theta`` =
-intercepts then coefficients) and solved by alternating closed-form updates
-with multiplier ``u`` and step ``rho`` (Boyd et al. 2011, scaled form):
+is solved by ADMM in the scaled form of Boyd et al. (2011) on the stacked
+design ``A`` with response ``b`` and residuals ``r = b - A theta`` (``theta``
+= intercepts then coefficients).  ``A`` is ``X*`` with ``Y*``, plus, as in
+``ip.py``, one row ``-s_j e_j'`` with response 0 per live penalized column
+j: its residual ``gamma_j = s_j theta_j`` carries the loss
+``lam w_j |gamma_j| / s_j``, with ``s_j`` the centered norm of column j (1
+where that is 0).  So every fit is an unpenalized one over ``nK + m`` rows:
 
-    r-update      r <- prox of rho_tau/rho at c = Y* - X* theta + u/rho
-    theta-update  least squares against Y* - r + u/rho
-                  (weighted-L1 on the coefficients when penalized)
-    u-update      u <- u + rho (Y* - r - X* theta)
+    r-update      r <- prox at c = b - A theta + u/rho: r = c - z with
+                  z = clip(c, (tau - 1)/rho, tau/rho) on the data rows and
+                  z = clip(c, -t_j, t_j), t_j = lam w_j / (rho s_j), on the
+                  penalty rows (the soft threshold, core._soft_threshold)
+    theta-update  H theta = A'(b - r + u/rho), H = A'A = G + diag(0_K, s^2),
+                  one cached Cholesky factor (core.cholesky), G = X*' X*
+    u-update      u <- u + rho (b - r - A theta)
 
-The prox is ``r = c - z`` with ``z = clip(c, (tau - 1)/rho, tau/rho)``, so
-the loop carries ``z`` instead of ``r``.  With ``G = X*' X*`` (unridged) and
-``theta_old`` the iterate ``c`` was formed at, the updates become
+With ``theta_old`` the iterate ``c`` was formed at, the loop carries ``z``
+and the (K + p)-vectors ``H theta``, ``A' r`` and ``A' u/rho``:
 
-    h             = G theta_old + X*' z        (right-hand side of the solve)
-    X*' r_new     = X*' Y* - G theta_old + X*' u/rho - X*' z
-    u_new/rho     = z + X* theta_old - X* theta_new
-    X*' u_new/rho = h - G theta_new
+    h             = H theta_old + A' z         (right-hand side of the solve)
+    A' r_new      = A' b + A' u/rho - h
+    u_new/rho     = z + A theta_old - A theta_new
+    A' u_new/rho  = h - H theta_new
 
-so ``G theta``, ``X*' r`` and ``X*' u/rho`` are kept as (K + p)-vectors and
-each iteration makes one ``X*' z`` product and one ``X* theta`` product.
+so each iteration makes one ``X*' z`` product and one ``X* theta`` product.
+It stops when the primal residual ``b - A theta - r`` (which is
+``(u_new - u)/rho``) and the dual residual ``rho A'(r - r_prev)`` (over all
+K + p coordinates: the intercepts move too) fall under (Boyd et al. 2011,
+section 3.3)
 
-The loop stops when the primal residual ``Y* - X* theta - r`` (which is
-``(u_new - u)/rho``) and the dual residual ``rho X*'(r - r_prev)`` (a
-difference of kept ``X*' r`` vectors) both fall under tolerances built from
-``eps_abs``/``eps_rel`` (Boyd et al. 2011, section 3.3):
+    eps_primal = sqrt(nK + m) eps_abs + eps_rel * max(||A theta||^2, ||r||^2, ||Y*||^2)
+    eps_dual   = sqrt(K + p) eps_abs + eps_rel * ||A' u||^2
 
-    eps_primal = sqrt(nK) eps_abs + eps_rel * max(||X* theta||^2, ||r||^2, ||Y*||^2)
-    eps_dual   = sqrt(K + p) eps_abs + eps_rel * ||X*' u||^2
+The dual test, which fails first, runs every iteration; the primal side
+only when it passes, or on the last iteration.
 
-This one display serves penalized and unpenalized fits alike: the
-theta-update moves the intercepts in both, so the dual residual keeps all
-K + p coordinates.  The dual test, which fails first, runs every
-iteration; the primal side only when it passes, or on the last iteration.
-
-A penalized fit moves only its live coordinates: the intercepts and the
-active, nonzero columns.  The rest of ``theta`` stays at its zero start, so
-the loop builds only the columns ``G[:, live]`` (``core.stacked_gram`` with
-``cols``) and runs its inner weighted-lasso sweeps on ``G[live, live]``.  The loop never materializes
-the stacked design: ``X*`` products go through ``core.stacked_fit`` and
-``core.stacked_tdot`` on (K, n) arrays.
+A penalized fit moves only its live coordinates, the intercepts and the
+active, nonzero columns: it builds only ``G[:, live]`` (``core.stacked_gram``
+with ``cols``) and reports ``gamma_j / s_j`` as coefficient j, so the rest
+and every thresholded column are exact zeros.  ``X*`` products go through
+``core.stacked_fit`` and ``core.stacked_tdot`` on (K, n) arrays.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .core import (
     PenaltySpec,
     QuantileLevels,
     SolverOptions,
+    _soft_threshold,
     cholesky,
     objective,
     penalty_terms,
@@ -74,9 +77,12 @@ __all__ = ["AdmmState", "fit_admm"]
 class AdmmState:
     """Internal iterate of the ADMM loop, in stacked (level-major) layout.
 
-    ``beta`` holds the K intercepts followed by the p coefficients; ``r`` and
-    ``u`` are the stacked residual and multiplier vectors; ``r_prev`` the
-    previous residual iterate (needed for the dual residual).
+    ``beta`` holds the K intercepts followed by the p coefficients of the
+    iterate ``theta``; ``r`` and ``u`` are the stacked residual and
+    multiplier vectors; ``r_prev`` the previous residual iterate (needed for
+    the dual residual).  ``gamma``, ``v`` and ``gamma_prev`` are the same
+    three for the penalty rows, one entry per live penalized column in
+    column order (empty when unpenalized).
     """
 
     beta: np.ndarray
@@ -84,36 +90,9 @@ class AdmmState:
     u: np.ndarray
     iteration: int
     r_prev: np.ndarray
-
-
-def _cd_quadratic(G, h, thresh, diag, x, tol, max_sweeps):
-    """Cyclic coordinate descent on 1/2 x'Gx - h'x + sum_j thresh_j |x_j|.
-
-    ``x`` is updated in place (warm start); every coordinate moves, so each
-    needs ``diag[j] = G[j, j] > 0``.  Returns the sweeps.
-    """
-    sweeps = 0
-    g = G @ x                   # kept current by the coordinate steps
-    for sweeps in range(1, max_sweeps + 1):
-        biggest = 0.0
-        for j in range(x.size):
-            s = h[j] - g[j] + diag[j] * x[j]
-            t = thresh[j]
-            if s > t:
-                new = (s - t) / diag[j]
-            elif s < -t:
-                new = (s + t) / diag[j]
-            else:
-                new = 0.0
-            step = new - x[j]
-            if step != 0.0:
-                x[j] = new
-                g += G[:, j] * step
-                if abs(step) > biggest:
-                    biggest = abs(step)
-        if biggest < tol:
-            break
-    return sweeps
+    gamma: np.ndarray
+    v: np.ndarray
+    gamma_prev: np.ndarray
 
 
 def fit_admm(data: Dataset, levels: QuantileLevels,
@@ -122,13 +101,12 @@ def fit_admm(data: Dataset, levels: QuantileLevels,
     """Fit (composite) quantile regression by ADMM, in the clipped form of
     the module docstring.
 
-    With an adaptive-lasso penalty the coefficient update is an inner
-    weighted-lasso least-squares solve on the live coordinates
-    (warm-started coordinate descent on ``G[live, live]`` at tolerance
-    ``tol/10``); without one it is a cached Cholesky solve of the normal
-    equations (``core.cholesky``, ridged if the stacked design is
-    rank-deficient).  When the loop stops short, ``diagnostics["reason"]``
-    names each failing residual against its tolerance.
+    Penalized or not, the theta-update is one cached Cholesky solve
+    (``core.cholesky``, ridged if the stacked design is rank-deficient);
+    an adaptive-lasso penalty adds its rows' ``s_j^2`` to the diagonal and
+    soft-thresholds their residuals.  ``SolverOptions.tol`` is not used.
+    When the loop stops short, ``diagnostics["reason"]`` names each failing
+    residual against its tolerance.
     """
     penalty = PenaltySpec.none() if penalty is None else penalty
     opts = SolverOptions() if options is None else options
@@ -146,30 +124,34 @@ def fit_admm(data: Dataset, levels: QuantileLevels,
     live = np.concatenate([np.arange(K), K + cols])
     X_live = X[:, cols]
     G_live = stacked_gram(X, np.ones((K, n)), cols)      # G[:, live]
-    ridge = False
+    m = cols.size if penalized else 0                    # penalty rows
     if penalized:
-        G_inner = G_live[live]                           # G[live, live]
-        diag = np.diag(G_inner)
-        thresh = np.concatenate([np.zeros(K), penalty.lam * weights[cols] / rho])
+        s = np.linalg.norm(X_live - X_live.mean(axis=0), axis=0)
+        s[s == 0.0] = 1.0
+        H = G_live[live]                                 # G[live, live]
+        H[K:, K:][np.diag_indices(m)] += s * s
+        pen = K + cols                                   # their coordinates
+        thresh = penalty.lam * weights[cols] / (rho * s)
     else:
-        factor, ridge = cholesky(G_live)
+        H = G_live
+    factor, ridge = cholesky(H)
 
     theta = np.zeros(live.size)           # the live coordinates of theta
     Y_row = Y[None, :]
     fit_mat = np.zeros((K, n))            # X* theta
     w = np.zeros((K, n))                  # u / rho
     c, z = np.tile(Y, (K, 1)), np.zeros((K, n))   # r = c - z = Y*
-    g = np.zeros(d)                       # G theta
-    xr = xty = stacked_tdot(X, c)         # X*' r, X*' Y*
-    xw = np.zeros(d)                      # X*' u / rho
+    g = np.zeros(d)                       # H theta
+    xr = xty = stacked_tdot(X, c)         # A' r, A' b
+    xw = np.zeros(d)                      # A' u / rho
+    gamma = gamma_prev = st = wg = np.zeros(m)   # penalty rows: gamma, s theta, v/rho
     lo = ((taus - 1.0) / rho)[:, None]
     hi = (taus / rho)[:, None]
-    inner_sweeps = 0
     converged = False
     iterations = 0
     primal_norm = dual_norm = np.inf
     eps_primal = eps_dual = np.nan
-    primal_abs = np.sqrt(n * K) * opts.eps_abs
+    primal_abs = np.sqrt(n * K + m) * opts.eps_abs
     dual_abs = np.sqrt(d) * opts.eps_abs
     dual_rel = opts.eps_rel * rho ** 2
     y_scale = K * np.sum(Y ** 2)
@@ -179,13 +161,18 @@ def fit_admm(data: Dataset, levels: QuantileLevels,
         c = Y_row - fit_mat + w
         z = c.clip(lo, hi)                # r_new = c - z, the prox at c
         h = g + stacked_tdot(X, z)
+        if m:
+            gamma_prev, cg = gamma, st + wg
+            gamma = _soft_threshold(cg, thresh)
+            zg = cg - gamma
+            h[pen] -= s * zg
         xr_prev, xr = xr, xty + xw - h
-        if penalized:
-            inner_sweeps += _cd_quadratic(G_inner, h[live], thresh, diag, theta,
-                                          tol=opts.tol * 0.1, max_sweeps=200)
-        else:
-            theta, _ = dpotrs(factor, h)
+        theta, _ = dpotrs(factor, h[live] if penalized else h)
         g = G_live @ theta
+        if m:
+            st_old, st = st, s * theta[K:]
+            g[pen] += s * st
+            wg_prev, wg = wg, zg + st - st_old
         xw = h - g
         fit_old, fit_mat = fit_mat, stacked_fit(X_live, theta)
         w_prev, w = w, z + fit_old - fit_mat
@@ -197,9 +184,15 @@ def fit_admm(data: Dataset, levels: QuantileLevels,
         if dual_norm > eps_dual and iterations < opts.max_iter:
             continue
         primal = (w - w_prev).ravel()
-        scale = max(np.sum(fit_mat ** 2), np.sum((c - z) ** 2), y_scale)
-        eps_primal = primal_abs + opts.eps_rel * scale
-        primal_norm = np.sqrt(primal.dot(primal))
+        primal_sq = primal.dot(primal)
+        fit_sq, r_sq = np.sum(fit_mat ** 2), np.sum((c - z) ** 2)
+        if m:
+            dg = wg - wg_prev
+            primal_sq += dg.dot(dg)
+            fit_sq += st.dot(st)
+            r_sq += gamma.dot(gamma)
+        eps_primal = primal_abs + opts.eps_rel * max(fit_sq, r_sq, y_scale)
+        primal_norm = np.sqrt(primal_sq)
         if primal_norm <= eps_primal and dual_norm <= eps_dual:
             converged = True
             break
@@ -207,9 +200,12 @@ def fit_admm(data: Dataset, levels: QuantileLevels,
     beta = np.zeros(d)
     beta[live] = theta
     state = AdmmState(beta=beta, r=(c - z).ravel(), u=(rho * w).ravel(),
-                      iteration=iterations, r_prev=(c_prev - z_prev).ravel())
+                      iteration=iterations, r_prev=(c_prev - z_prev).ravel(),
+                      gamma=gamma, v=rho * wg, gamma_prev=gamma_prev)
     intercepts = beta[:K].copy()
     coefficients = beta[K:].copy()
+    if penalized:
+        coefficients[cols] = gamma / s
     obj = objective(data, intercepts, coefficients, levels, penalty)
     diagnostics = {
         "state": state,
@@ -219,8 +215,6 @@ def fit_admm(data: Dataset, levels: QuantileLevels,
         "eps_dual": float(eps_dual),
         "ridge": ridge,
     }
-    if penalized:
-        diagnostics["inner_sweeps"] = inner_sweeps
     if not converged:
         diagnostics["reason"] = "; ".join(
             f"the {side} residual {norm:.3g} is above its tolerance {eps:.3g}"

@@ -199,10 +199,9 @@ class PenaltySpec:
 class SolverOptions:
     """Knobs shared by the four fitters.
 
-    ``tol`` is the generic parameter-change threshold (MM, CD, and the inner
-    penalized least-squares loop); ``rho`` is the ADMM step parameter;
-    ``eps_mm`` the MM smoothing constant; ``eps_abs``/``eps_rel`` the ADMM
-    stopping tolerances.
+    ``tol`` is the parameter-change threshold of MM and CD; ``rho`` is the
+    ADMM step parameter; ``eps_mm`` the MM smoothing constant;
+    ``eps_abs``/``eps_rel`` the ADMM stopping tolerances.
     """
 
     max_iter: int = 5000

@@ -40,7 +40,9 @@ from .core import (
     fidelity,
     objective,
     penalty_terms,
+    stacked_fit,
     stacked_gram,
+    stacked_tdot,
 )
 
 __all__ = ["fit_mm"]
@@ -67,7 +69,7 @@ def fit_mm(data: Dataset, levels: QuantileLevels,
     penalty = PenaltySpec.none() if penalty is None else penalty
     opts = SolverOptions() if options is None else options
     X, Y = data.X, data.Y
-    n, p, K = data.n, data.p, levels.K
+    p, K = data.p, levels.K
     taus = levels.taus
     eps = opts.eps_mm
     d = K + p
@@ -76,16 +78,14 @@ def fit_mm(data: Dataset, levels: QuantileLevels,
     weights, active = penalty_terms(penalty, p)
     lam = penalty.lam
     frozen = ~active                      # inactive coordinates start frozen
-    colsum = X.sum(axis=0)
-    q_level = taus - 0.5                  # linear term per level
-    q_total = float(q_level.sum())
+    linear = 0.5 * (taus - 0.5)[:, None]  # the majorizers' linear term per level
 
     theta = np.zeros(d)
     if penalized:
         # start from the pilot: a zero start would sit at the penalty's
         # curvature singularity and freeze every coordinate immediately
         theta[K:][active] = penalty.pilot[active]
-    R = np.tile(Y, (K, 1)) - (X @ theta[K:])[None, :]   # residuals r_ik, (K, n)
+    R = Y[None, :] - stacked_fit(X, theta)   # residuals r_ik, (K, n)
 
     def surrogate_objective(th, residuals):
         val = fidelity(residuals, taus)
@@ -109,7 +109,7 @@ def fit_mm(data: Dataset, levels: QuantileLevels,
             if np.any(small):
                 frozen |= small
                 theta[K:][small] = 0.0
-                R = Y[None, :] - theta[:K][:, None] - (X @ theta[K:])[None, :]
+                R = Y[None, :] - stacked_fit(X, theta)
                 base = None
 
         if base is None:
@@ -118,12 +118,9 @@ def fit_mm(data: Dataset, levels: QuantileLevels,
         free = ~frozen                    # covariates still in the system
         Xf = X[:, free]
         D = 1.0 / (4.0 * (eps + np.abs(R)))          # (K, n)
-        s = D.sum(axis=0)                            # (n,)
         nf = int(free.sum())
         H = stacked_gram(Xf, D)
-        rhs = np.empty(K + nf)
-        rhs[:K] = D @ Y + 0.5 * n * q_level
-        rhs[K:] = Xf.T @ (s * Y) + 0.5 * q_total * colsum[free]
+        rhs = stacked_tdot(Xf, D * Y + linear)
         if penalized and nf:
             curv = lam * weights[free] / (2.0 * (np.abs(theta[K:][free]) + eps))
             H[K:, K:][np.diag_indices(nf)] += curv
@@ -134,7 +131,7 @@ def fit_mm(data: Dataset, levels: QuantileLevels,
         theta_new = np.zeros(d)
         theta_new[:K] = sol[:K]
         theta_new[K:][free] = sol[K:]
-        R_new = Y[None, :] - theta_new[:K][:, None] - (X @ theta_new[K:])[None, :]
+        R_new = Y[None, :] - stacked_fit(X, theta_new)
 
         value = surrogate_objective(theta_new, R_new)
         max_violation = max(max_violation, value - base)

@@ -87,8 +87,8 @@ class SimConfig:
             raise ValueError("lam given but regularized is False")
         if self.regularized and self.lam is None:
             self.lam = default_lambda(self.n, self.p, self.levels.K)
-        if self.lam is not None and self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if self.lam is not None and not (np.isfinite(self.lam) and self.lam > 0):
+            raise ValueError("lam must be finite and positive")
 
 
 @dataclass

@@ -196,84 +196,89 @@ def majorizer_value(r, r_prev, tau, eps):
 def admm_reference(data: Dataset, levels: QuantileLevels, penalty, options):
     """``fit_admm``'s iteration in its unclipped form, every quantity every time.
 
-    A plain transcription of the ADMM loop that takes the prox as a shifted
-    soft threshold and forms ``X*' (Y* - r + u/rho)``, the primal and dual
-    residuals, ``X*' u``, both tolerances and both norms
-    (``np.linalg.norm``) from (K, n) arrays on every iteration.  It solves
-    with ``cho_solve`` on the full Gram and runs the inner weighted-lasso
-    sweeps over all K + p coordinates, skipping the dead ones, with the
-    vectorized soft threshold.  Returns a dict of the final
-    iterate, the four stopping figures, ``iterations``, ``converged``,
-    ``ridge`` and ``inner_sweeps``.
+    A plain transcription of the ADMM loop over the data rows and the
+    penalty rows (one row ``-s_j e_j'`` with response 0 per live penalized
+    column, ``s_j`` its centered norm or 1).  It takes the data rows' prox as
+    a shifted soft threshold and the penalty rows' as the soft threshold at
+    ``lam w_j / (rho s_j)``, and forms the right-hand side, the primal and
+    dual residuals, ``A' u``, both tolerances and both norms
+    (``np.linalg.norm``) from full arrays on every iteration.  It solves
+    with ``cho_solve`` on ``G + diag(0_K, s^2)``, the Gram of the live
+    columns (all of them when unpenalized).  Returns a dict of the final
+    iterate (``theta`` over all K + p coordinates), the reported
+    ``coefficients`` (``gamma_j / s_j`` on the penalty rows), the penalty
+    rows' ``gamma``, ``v`` and ``gamma_prev``, the four stopping figures,
+    ``iterations``, ``converged`` and ``ridge``.
     """
     X, Y = data.X, data.Y
     n, p, K = data.n, data.p, levels.K
     rho, d = options.rho, K + p
-    penalized = penalty.regularized
     weights, active = penalty_terms(penalty, p)
-    full_active = np.concatenate([np.ones(K, dtype=bool), active])
-    thresh = np.zeros(d)
-    if penalized:
-        thresh[K:] = penalty.lam * weights / rho
-    G = stacked_gram(X, np.ones((K, n)))
+    cols = np.arange(p)
+    s = np.zeros(0)
+    if penalty.regularized:
+        cols = np.flatnonzero(active & (np.abs(X).sum(axis=0) > 0.0))
+        s = np.linalg.norm(X[:, cols] - X[:, cols].mean(axis=0), axis=0)
+        s[s == 0.0] = 1.0
+    # the penalized coordinates: live positions K..K+m-1, all of the live
+    # columns when penalized and none otherwise
+    m = s.size
+    pen = K + cols[:m]
+    thresh = penalty.lam * weights[cols[:m]] / (rho * s)
+    X_live = X[:, cols]
+    G = stacked_gram(X_live, np.ones((K, n)))
+    G[K:K + m, K:K + m] += np.diag(s ** 2)
     ridge = False
-    if not penalized:
-        try:
-            factor = cho_factor(G)
-        except LinAlgError:
-            ridge = True
-            factor = cho_factor(G + 1e-8 * np.trace(G) / d * np.eye(d))
+    try:
+        factor = cho_factor(G)
+    except LinAlgError:
+        ridge = True
+        factor = cho_factor(G + 1e-8 * np.trace(G) / G.shape[0] * np.eye(G.shape[0]))
 
-    def lasso_sweeps(h, x, tol):
-        diag = np.diag(G)
-        g = G @ x
-        for sweeps in range(1, 201):
-            biggest = 0.0
-            for j in range(d):
-                if not (full_active[j] and diag[j] > 0.0):
-                    continue
-                s = h[j] - g[j] + diag[j] * x[j]
-                new = _soft_threshold(s, thresh[j]) / diag[j]
-                step = new - x[j]
-                if step != 0.0:
-                    x[j] = new
-                    g += G[:, j] * step
-                    biggest = max(biggest, abs(step))
-            if biggest < tol:
-                return sweeps
-        return 200
-
-    theta = np.zeros(d)
+    theta = np.zeros(K + cols.size)
     fit_mat = np.zeros((K, n))
     r = np.tile(Y, (K, 1))
     u = np.zeros((K, n))
+    gamma, v = np.zeros(m), np.zeros(m)
     shift = ((2.0 * levels.taus - 1.0) / (2.0 * rho))[:, None]
-    inner_sweeps, converged = 0, False
+    converged = False
     for iterations in range(1, options.max_iter + 1):
         r_new = _soft_threshold(Y[None, :] - fit_mat + u / rho - shift, 0.5 / rho)
-        h = stacked_tdot(X, Y[None, :] - r_new + u / rho)
-        if penalized:
-            inner_sweeps += lasso_sweeps(h, theta, options.tol * 0.1)
-        else:
-            theta = cho_solve(factor, h)
-        fit_mat = stacked_fit(X, theta)
+        gamma_new = _soft_threshold(s * theta[K:K + m] + v / rho, thresh)
+        h = stacked_tdot(X_live, Y[None, :] - r_new + u / rho)
+        h[K:K + m] += s * (gamma_new - v / rho)
+        theta = cho_solve(factor, h)
+        fit_mat = stacked_fit(X_live, theta)
+        s_theta = s * theta[K:K + m]
         u = u + rho * (Y[None, :] - r_new - fit_mat)
-        primal = Y[None, :] - fit_mat - r_new
+        v = v + rho * (s_theta - gamma_new)
+        primal = np.concatenate([(Y[None, :] - fit_mat - r_new).ravel(),
+                                 s_theta - gamma_new])
         dual = rho * stacked_tdot(X, r_new - r)
-        scale = max(np.sum(fit_mat ** 2), np.sum(r_new ** 2),
+        dual[pen] -= rho * s * (gamma_new - gamma)
+        atu = stacked_tdot(X, u)
+        atu[pen] -= s * v
+        scale = max(np.sum(fit_mat ** 2) + np.sum(s_theta ** 2),
+                    np.sum(r_new ** 2) + np.sum(gamma_new ** 2),
                     K * np.sum(Y ** 2))
-        eps_primal = np.sqrt(n * K) * options.eps_abs + options.eps_rel * scale
-        eps_dual = (np.sqrt(dual.size) * options.eps_abs
-                    + options.eps_rel * np.sum(stacked_tdot(X, u) ** 2))
+        eps_primal = np.sqrt(primal.size) * options.eps_abs + options.eps_rel * scale
+        eps_dual = (np.sqrt(d) * options.eps_abs
+                    + options.eps_rel * np.sum(atu ** 2))
         primal_norm = np.linalg.norm(primal)
         dual_norm = np.linalg.norm(dual)
         r_prev, r = r, r_new
+        gamma_prev, gamma = gamma, gamma_new
         if primal_norm <= eps_primal and dual_norm <= eps_dual:
             converged = True
             break
-    return {"theta": theta, "r": r.ravel(), "u": u.ravel(),
-            "r_prev": r_prev.ravel(), "iterations": iterations,
+    full = np.zeros(d)
+    full[np.concatenate([np.arange(K), K + cols])] = theta
+    coefficients = full[K:].copy()
+    coefficients[cols[:m]] = gamma / s
+    return {"theta": full, "coefficients": coefficients,
+            "r": r.ravel(), "u": u.ravel(),
+            "r_prev": r_prev.ravel(), "gamma": gamma, "v": v,
+            "gamma_prev": gamma_prev, "iterations": iterations,
             "converged": converged, "ridge": ridge,
-            "inner_sweeps": inner_sweeps,
             "primal_norm": float(primal_norm), "dual_norm": float(dual_norm),
             "eps_primal": float(eps_primal), "eps_dual": float(eps_dual)}

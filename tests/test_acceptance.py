@@ -30,6 +30,7 @@ from cqrkit import (
     QuantileLevels,
     SimConfig,
     SolverOptions,
+    adaptive_weights,
     fit_admm,
     fit_cd,
     fit_ip,
@@ -44,7 +45,7 @@ from oracles import qr_exact
 
 MM_AUDIT = []    # (context, max surrogate-descent violation)
 CD_AUDIT = []    # (context, max objective increase over accepted updates)
-ADMM_AUDIT = []  # (context, data, levels, options, AdmmState) for converged fits
+ADMM_AUDIT = []  # (context, data, levels, options, pilot, AdmmState) for converged fits
 
 
 def _record(context, data, levels, options, result):
@@ -54,8 +55,8 @@ def _record(context, data, levels, options, result):
     elif result.algorithm == "cd":
         CD_AUDIT.append((context, float(diag["max_objective_increase"])))
     elif result.algorithm == "admm" and result.converged:
-        ADMM_AUDIT.append((context, data, levels,
-                           options or SolverOptions(), diag["state"]))
+        ADMM_AUDIT.append((context, data, levels, options or SolverOptions(),
+                           diag.get("pilot"), diag["state"]))
 
 
 def _hook(prefix):
@@ -285,8 +286,13 @@ def test_07_cd_monotonicity_audit(verdict):
     )
 
 
-def _admm_stopping_holds(data, levels, opts, state):
-    """Recompute the primal/dual residual test from the returned state."""
+def _admm_stopping_holds(data, levels, opts, pilot, state):
+    """Recompute the primal/dual residual test from the returned state.
+
+    A penalized fit (``pilot`` given) has one penalty row ``-s_j e_j'`` per
+    active, nonzero column, ``s_j`` its centered norm (1 where that is 0),
+    recomputed here from the data and the pilot.
+    """
     X, Y = data.X, data.Y
     K = levels.K
     n = data.n
@@ -295,15 +301,28 @@ def _admm_stopping_holds(data, levels, opts, state):
     r_prev = state.r_prev.reshape(K, n)
     u = state.u.reshape(K, n)
     rho = opts.rho
+    cols = np.zeros(0, dtype=int)
+    if pilot is not None:
+        _, active = adaptive_weights(pilot)
+        cols = np.flatnonzero(active & np.any(X != 0.0, axis=0))
+    Xc = X[:, cols] - X[:, cols].mean(axis=0)
+    s = np.sqrt(np.sum(Xc ** 2, axis=0))
+    s[s == 0.0] = 1.0
+    s_theta = s * theta[K + cols]
 
     Xb = X @ theta[K:]
     fit_mat = Xb[None, :] + theta[:K][:, None]
-    primal = Y[None, :] - fit_mat - r_new
+    primal = np.concatenate([(Y[None, :] - fit_mat - r_new).ravel(),
+                             s_theta - state.gamma])
     dr = r_new - r_prev
     dual = rho * np.concatenate([dr.sum(axis=1), X.T @ dr.sum(axis=0)])
-    scale = max(np.sum(fit_mat ** 2), np.sum(r_new ** 2), K * np.sum(Y ** 2))
-    eps_primal = np.sqrt(n * K) * opts.eps_abs + opts.eps_rel * scale
+    dual[K + cols] -= rho * s * (state.gamma - state.gamma_prev)
+    scale = max(np.sum(fit_mat ** 2) + np.sum(s_theta ** 2),
+                np.sum(r_new ** 2) + np.sum(state.gamma ** 2),
+                K * np.sum(Y ** 2))
+    eps_primal = np.sqrt(primal.size) * opts.eps_abs + opts.eps_rel * scale
     Xtu = np.concatenate([u.sum(axis=1), X.T @ u.sum(axis=0)])
+    Xtu[K + cols] -= s * state.v
     eps_dual = (np.sqrt(dual.size) * opts.eps_abs
                 + opts.eps_rel * np.sum(Xtu ** 2))
     return (np.linalg.norm(primal) <= eps_primal
@@ -311,8 +330,8 @@ def _admm_stopping_holds(data, levels, opts, state):
 
 
 def test_08_admm_stopping_audit(verdict):
-    unsound = [ctx for ctx, data, levels, opts, state in ADMM_AUDIT
-               if not _admm_stopping_holds(data, levels, opts, state)]
+    unsound = [ctx for ctx, data, levels, opts, pilot, state in ADMM_AUDIT
+               if not _admm_stopping_holds(data, levels, opts, pilot, state)]
     ok = bool(ADMM_AUDIT) and not unsound
     verdict(
         "8 ADMM stopping soundness on every converged fit",

@@ -9,11 +9,13 @@ from cqrkit import (
     PenaltySpec,
     QuantileLevels,
     SolverOptions,
+    fit_ip,
     objective,
     sample_quantile,
 )
-from cqrkit.admm import _cd_quadratic, fit_admm
-from cqrkit.core import stacked_gram
+from cqrkit.admm import fit_admm
+from cqrkit.core import penalty_terms, stacked_gram
+from cqrkit.simlab import default_lambda
 
 from oracles import (
     admm_reference,
@@ -126,6 +128,23 @@ def test_huge_lambda_reduces_to_intercept_quantiles():
     assert res.objective == pytest.approx(best, abs=1e-4)
 
 
+def test_penalized_fit_with_no_live_column():
+    # every pilot coordinate inactive: no penalty rows, and the solve is
+    # restricted to the intercepts
+    rng = np.random.default_rng(14)
+    X = rng.standard_normal((30, 3))
+    Y = 1.0 + X @ np.array([0.5, -1.0, 0.0]) + rng.standard_normal(30)
+    data = Dataset(X, Y)
+    levels = QuantileLevels(np.array([0.25, 0.75]))
+    res = fit_admm(data, levels, PenaltySpec.adaptive_lasso(1.0, np.zeros(3)), TIGHT)
+    assert res.converged
+    assert np.array_equal(res.coefficients, np.zeros(3))
+    assert res.diagnostics["state"].gamma.size == 0
+    b = np.array([sample_quantile(Y, t) for t in levels.taus])
+    best = objective(data, b, np.zeros(3), levels, PenaltySpec.none())
+    assert res.objective == pytest.approx(best, abs=1e-4)
+
+
 def test_r_update_is_proximal_map():
     # the residual update of the first iteration minimizes
     # rho_tau(r) + (rho/2)(c - r)^2 elementwise (grid-checked)
@@ -167,18 +186,41 @@ def test_first_iteration_matches_stacked_formulas():
     assert_allclose(state.u, u1, atol=1e-10)
 
 
-def _direct_stopping(state, data, levels, opts):
-    """Independent transcription of the stopping display."""
+def _penalty_rows(data, levels, penalty):
+    """The penalty rows ``-s_j e_j'`` of the stacked design, from the data
+    and the pilot: one per active, nonzero column, ``s_j`` its centered
+    norm (1 where that is 0).  Returns an (m, K + p) array."""
+    K, p = levels.K, data.p
+    if penalty is None or not penalty.regularized:
+        return np.zeros((0, K + p))
+    _, active = penalty_terms(penalty, p)
+    cols = [j for j in range(p) if active[j] and np.any(data.X[:, j] != 0.0)]
+    rows = np.zeros((len(cols), K + p))
+    for i, j in enumerate(cols):
+        s = np.linalg.norm(data.X[:, j] - np.mean(data.X[:, j]))
+        rows[i, K + j] = -(s if s > 0.0 else 1.0)
+    return rows
+
+
+def _direct_stopping(state, data, levels, opts, penalty=None):
+    """Independent transcription of the stopping display, over the data
+    rows and the penalty rows of the materialized stacked design."""
     Xs, Ys, _ = stack_composite(data, levels)
-    fit = Xs @ state.beta
-    r_primal = Ys - fit - state.r
-    r_dual = opts.rho * (Xs.T @ (state.r - state.r_prev))
+    P = _penalty_rows(data, levels, penalty)
+    A = np.vstack([Xs, P])
+    b = np.concatenate([Ys, np.zeros(len(P))])
+    r = np.concatenate([state.r, state.gamma])
+    r_prev = np.concatenate([state.r_prev, state.gamma_prev])
+    u = np.concatenate([state.u, state.v])
+    fit = A @ state.beta
+    r_primal = b - fit - r
+    r_dual = opts.rho * (A.T @ (r - r_prev))
     scale = max(np.linalg.norm(fit) ** 2,
-                np.linalg.norm(state.r) ** 2,
-                np.linalg.norm(Ys) ** 2)
+                np.linalg.norm(r) ** 2,
+                np.linalg.norm(b) ** 2)
     ep = np.sqrt(r_primal.size) * opts.eps_abs + opts.eps_rel * scale
     ed = (np.sqrt(r_dual.size) * opts.eps_abs
-          + opts.eps_rel * np.linalg.norm(Xs.T @ state.u) ** 2)
+          + opts.eps_rel * np.linalg.norm(A.T @ u) ** 2)
     stop = np.linalg.norm(r_primal) <= ep and np.linalg.norm(r_dual) <= ed
     return stop, ep, ed
 
@@ -193,7 +235,8 @@ def test_admm_stopping_matches_direct_recomputation(penalized):
     for max_iter in (1, 5, 50, 5000):
         opts = SolverOptions(max_iter=max_iter)
         res = fit_admm(data, levels, pen, opts)
-        stop, ep, ed = _direct_stopping(res.diagnostics["state"], data, levels, opts)
+        stop, ep, ed = _direct_stopping(res.diagnostics["state"], data, levels,
+                                        opts, pen)
         assert stop == res.converged
         assert ep == pytest.approx(res.diagnostics["eps_primal"], rel=1e-12)
         assert ed == pytest.approx(res.diagnostics["eps_dual"], rel=1e-12)
@@ -210,7 +253,7 @@ def test_converged_fit_passes_its_own_stopping_rule():
         res = fit_admm(data, levels, pen, SolverOptions())
         assert res.converged
         state = res.diagnostics["state"]
-        stop, ep, ed = _direct_stopping(state, data, levels, SolverOptions())
+        stop, ep, ed = _direct_stopping(state, data, levels, SolverOptions(), pen)
         assert stop
         assert ep == pytest.approx(res.diagnostics["eps_primal"], rel=1e-9)
         assert ed == pytest.approx(res.diagnostics["eps_dual"], rel=1e-9)
@@ -245,7 +288,7 @@ def _bytes_case(shape, penalized):
 
 def _close(a, b, rel):
     """Largest entry of ``|a - b|`` within ``rel`` times the largest of ``|b|``."""
-    return np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
+    return a.size == 0 or np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
 
 
 @pytest.mark.parametrize("max_iter", [1, 7, 5000])
@@ -253,11 +296,11 @@ def _close(a, b, rel):
 @pytest.mark.parametrize("shape", ["K1", "K9", "wide", "dup"])
 def test_fit_matches_reference_loop_byte_for_byte(shape, penalized, max_iter):
     # the clipped loop against the loop that forms every stopping quantity
-    # from (K, n) arrays on every iteration: the counts and flags match
-    # exactly (the test id keeps its older name), the iterate and the four
-    # stopping figures to roundoff.  The ridged unpenalized shapes get 1e-6:
-    # the 1e-8 ridge magnifies roundoff in the Gram's near-null directions
-    # (measured 5.8e-8 and 4.8e-10)
+    # from full arrays on every iteration: the counts and flags match
+    # exactly (the test id keeps its older name), the iterate, the penalty
+    # rows and the four stopping figures to roundoff.  The ridged
+    # unpenalized shapes get 1e-6: the 1e-8 ridge magnifies roundoff in the
+    # Gram's near-null directions (measured 4.6e-8 and 9.0e-9)
     data, levels, pen = _bytes_case(shape, penalized)
     opts = SolverOptions(max_iter=max_iter)
     res = fit_admm(data, levels, pen, opts)
@@ -267,13 +310,15 @@ def test_fit_matches_reference_loop_byte_for_byte(shape, penalized, max_iter):
     assert res.iterations == ref["iterations"] == state.iteration
     assert res.converged == ref["converged"]
     assert res.diagnostics["ridge"] == ref["ridge"]
-    assert res.diagnostics.get("inner_sweeps", 0) == ref["inner_sweeps"]
     tol = 1e-6 if ref["ridge"] else 1e-12
     assert _close(state.beta, ref["theta"], tol)
     assert np.array_equal(res.intercepts, state.beta[:K])
-    assert np.array_equal(res.coefficients, state.beta[K:])
-    for name in ("r", "u", "r_prev"):
+    for name in ("r", "u", "r_prev", "gamma", "v", "gamma_prev"):
+        assert getattr(state, name).shape == ref[name].shape
         assert _close(getattr(state, name), ref[name], tol)
+    assert _close(res.coefficients, ref["coefficients"], tol)
+    if not penalized:
+        assert np.array_equal(res.coefficients, state.beta[K:])
     for norm, eps in (("primal_norm", "eps_primal"), ("dual_norm", "eps_dual")):
         assert res.diagnostics[eps] == pytest.approx(ref[eps], rel=1e-12)
         assert abs(res.diagnostics[norm] - ref[norm]) <= 1e-9 * ref[eps]
@@ -301,10 +346,11 @@ def test_live_column_gram_and_zero_coordinates(levels):
     data = Dataset(X, Y)
     for max_iter in (3, 5000):
         opts = SolverOptions(max_iter=max_iter)
-        res = fit_admm(data, levels, PenaltySpec.adaptive_lasso(0.3 * K, pilot), opts)
+        pen = PenaltySpec.adaptive_lasso(0.3 * K, pilot)
+        res = fit_admm(data, levels, pen, opts)
         assert res.coefficients[2] == 0.0 and res.coefficients[3] == 0.0
         state = res.diagnostics["state"]
-        stop, ep, ed = _direct_stopping(state, data, levels, opts)
+        stop, ep, ed = _direct_stopping(state, data, levels, opts, pen)
         assert stop == res.converged
         assert ep == pytest.approx(res.diagnostics["eps_primal"], rel=1e-12)
         assert ed == pytest.approx(res.diagnostics["eps_dual"], rel=1e-12)
@@ -337,69 +383,25 @@ def test_fit_matches_reference_loop_at_benchmark_sizes(case):
     assert res.converged and ref["converged"]
     assert res.iterations == ref["iterations"]
     K = levels.K
-    ref_obj = objective(data, ref["theta"][:K], ref["theta"][K:], levels, pen)
+    ref_obj = objective(data, ref["theta"][:K], ref["coefficients"], levels, pen)
     assert res.objective == pytest.approx(ref_obj, rel=1e-12)
 
 
-# ---------------------------------------------------------------------------
-# penalized least squares: _cd_quadratic, the loop's inner weighted-lasso solve
-# ---------------------------------------------------------------------------
-
-def _penalized_ls(A, b, lam, weights, active=None, rho=1.0, tol=1e-8,
-                  max_sweeps=1000):
-    """argmin (rho/2)||b - A x||^2 + lam sum_j weights_j |x_j| from zero."""
-    d = A.shape[1]
-    active = np.ones(d, dtype=bool) if active is None else active
-    G = A.T @ A
-    live = np.flatnonzero(active & (np.diag(G) > 0.0))   # as fit_admm's
-    G_live = G[np.ix_(live, live)]
-    x_live = np.zeros(live.size)
-    _cd_quadratic(G_live, (A.T @ b)[live], lam * np.asarray(weights)[live] / rho,
-                  np.diag(G_live), x_live, tol, max_sweeps)
-    x = np.zeros(d)
-    x[live] = x_live
-    return x
-
-
-def test_penalized_ls_zero_lambda_is_ols():
-    rng = np.random.default_rng(35)
-    A = rng.standard_normal((12, 3))
-    b = rng.standard_normal(12)
-    x = _penalized_ls(A, b, 0.0, np.zeros(3), tol=1e-12, max_sweeps=5000)
-    ols, *_ = np.linalg.lstsq(A, b, rcond=None)
-    assert_allclose(x, ols, atol=1e-6)
-
-
-def test_penalized_ls_identity_design_soft_thresholds():
-    rng = np.random.default_rng(36)
-    b = rng.standard_normal(4)
-    w = np.array([0.5, 1.0, 2.0, 0.0])
-    lam = 0.8
-    x = _penalized_ls(np.eye(4), b, lam, w, rho=1.0)
-    want = np.sign(b) * np.maximum(np.abs(b) - lam * w, 0.0)
-    assert_allclose(x, want, atol=1e-12)
-    # grid check, coordinate by coordinate
-    grid = np.linspace(-4, 4, 80001)
-    for j in range(4):
-        vals = 0.5 * (b[j] - grid) ** 2 + lam * w[j] * np.abs(grid)
-        assert x[j] == pytest.approx(grid[np.argmin(vals)], abs=1e-4)
-
-
-def test_penalized_ls_all_inactive_still_solves_intercept():
-    # the intercept column is unpenalized (weight 0); the covariate is inactive
-    A = np.column_stack([np.ones(5), np.arange(5.0)])
-    b = 3.0 + np.zeros(5)
-    x = _penalized_ls(A, b, 1.0, np.array([0.0, 1.0]),
-                      active=np.array([True, False]))
-    assert x[1] == 0.0
-    assert x[0] == pytest.approx(3.0, abs=1e-8)
-
-
-def test_penalized_ls_deterministic():
-    rng = np.random.default_rng(38)
-    A = rng.standard_normal((20, 5))
-    b = rng.standard_normal(20)
-    w = rng.uniform(0.5, 2.0, 5)
-    x1 = _penalized_ls(A, b, 0.7, w, rho=1.3)
-    x2 = _penalized_ls(A, b, 0.7, w, rho=1.3)
-    assert np.array_equal(x1, x2)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_penalized_fit_with_an_offset_column(seed):
+    # a column offset by 100 leaves the stacked Gram ill-conditioned against
+    # the intercepts; the penalty rows keep each iteration one Cholesky solve,
+    # and the fit converges next to the interior point's optimum
+    rng = np.random.default_rng(seed)
+    n, p = 200, 8
+    X = rng.standard_normal((n, p))
+    X[:, 2] += 100.0
+    Y = 1.0 + X @ np.array([1.0, -0.8, 0.6, 0.9, 0, 0, 0, 0]) + rng.standard_normal(n)
+    data = Dataset(X, Y)
+    levels = QuantileLevels.single(0.3)
+    pilot = fit_ip(data, levels).coefficients
+    pen = PenaltySpec.adaptive_lasso(default_lambda(n, p), pilot)
+    res = fit_admm(data, levels, pen)
+    best = fit_ip(data, levels, pen).objective
+    assert res.converged
+    assert res.objective - best <= 1e-3 * best

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cqrkit import Dataset, PenaltySpec, QuantileLevels, SolverOptions
-from cqrkit.core import fidelity, penalty_terms
+from cqrkit.core import fidelity, penalty_terms, stacked_fit
 from cqrkit.mm import FREEZE_THRESHOLD, fit_mm
 
 from oracles import (
@@ -136,9 +136,10 @@ def test_penalized_freezes_null_coordinate():
 
 
 def _surrogate(data, levels, pen, eps, theta, frozen):
-    """Smoothed fidelity plus the perturbed penalty over unfrozen coordinates."""
+    """Smoothed fidelity plus the perturbed penalty over unfrozen coordinates,
+    on residuals formed as the loop forms them."""
     K = levels.K
-    R = data.Y[None, :] - theta[:K][:, None] - (data.X @ theta[K:])[None, :]
+    R = data.Y[None, :] - stacked_fit(data.X, theta)
     val = fidelity(R, levels.taus)
     val -= 0.5 * eps * np.sum(np.log(eps + np.abs(R)))
     weights, active = penalty_terms(pen, data.p)

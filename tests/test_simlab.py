@@ -129,6 +129,10 @@ def test_config_validates_support_and_algorithms():
         SimConfig(n=10, p=2, levels=levels, algorithms=())
     with pytest.raises(ValueError):
         SimConfig(n=10, p=2, levels=levels, algorithms=("simplex",))
+    for lam in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(n=10, p=2, levels=levels, algorithms=("cd",),
+                      regularized=True, lam=lam)
 
 
 def test_config_defaults_dense_support_and_lambda():
