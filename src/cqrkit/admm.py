@@ -102,7 +102,7 @@ def fit_admm(data: Dataset, levels: QuantileLevels,
     the module docstring.
 
     Penalized or not, the theta-update is one cached Cholesky solve
-    (``core.cholesky``, ridged if the stacked design is rank-deficient);
+    (``core.cholesky``, ridged if it judges ``H`` singular, once per fit);
     an adaptive-lasso penalty adds its rows' ``s_j^2`` to the diagonal and
     soft-thresholds their residuals.  ``SolverOptions.tol`` is not used.
     When the loop stops short, ``diagnostics["reason"]`` names each failing

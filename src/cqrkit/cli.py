@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import ConvergenceError, QuantileLevels, SolverOptions
 from .io import (
+    OPTION_NAMES,
     CsvParseError,
     ResultDocument,
     read_csv,
@@ -150,8 +151,7 @@ def cmd_fit(args) -> int:
         _log(f"cqrkit fit: {exc}")
         return EXIT_INPUT
 
-    overrides = {name: getattr(args, name)
-                 for name in ("max_iter", "tol", "rho", "eps_mm")
+    overrides = {name: getattr(args, name) for name in OPTION_NAMES
                  if getattr(args, name) is not None}
     try:
         request = FitRequest(
@@ -182,8 +182,9 @@ def cmd_fit(args) -> int:
         _log(f"cqrkit fit: {exc}")
         return EXIT_INPUT
     if not result.converged:
+        reason = result.diagnostics.get("reason")
         _log(f"cqrkit fit: did not converge within {result.iterations} "
-             f"iterations")
+             f"iterations" + (f": {reason}" if reason else ""))
         return EXIT_NOT_CONVERGED
     return EXIT_OK
 

@@ -12,7 +12,7 @@ fitters share, without ever forming the stacked design ``X*``:
 ``fidelity`` is the check-loss sum over (K, n) residuals, ``stacked_fit``
 the product ``X* theta``, ``stacked_tdot`` the product ``X*' V``, and
 ``stacked_gram`` the matrix ``X*' diag(D) X*`` that the MM, ADMM and
-interior-point fitters factor (MM and ADMM through ``cholesky``).
+interior-point fitters factor through ``cholesky``.
 
 Conventions
 -----------
@@ -412,12 +412,16 @@ def stacked_gram(X, D, cols=None):
 def cholesky(G, ridge=False):
     """Upper Cholesky factor of ``G`` for LAPACK ``dpotrs``, and the ridge flag.
 
-    The factor is of ``G + 1e-8 trace(G)/d I``, and the flag true, when ``G``
-    is not numerically positive definite (e.g. p >= n) or ``ridge`` is set.
+    The factor is of ``G + 1e-8 trace(G)/d I``, and the flag true, when
+    ``ridge`` (a fit's earlier verdict) is set or ``G`` is singular: its
+    factorization fails or a pivot is roundoff, ``U_jj^2 < 1e-12 G_jj``.
     """
     if not ridge:
         try:
-            return cho_factor(G)[0], False
+            U = cho_factor(G)[0]
+            d = U.diagonal()
+            if (d * d >= 1e-12 * G.diagonal()).all():
+                return U, False
         except LinAlgError:
             pass
     bump = 1e-8 * np.trace(G) / G.shape[0]

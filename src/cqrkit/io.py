@@ -23,6 +23,7 @@ from .simlab import SimReport, SimRow
 
 __all__ = [
     "SCHEMA_VERSION",
+    "OPTION_NAMES",
     "CsvParseError",
     "read_csv",
     "ResultDocument",
@@ -33,6 +34,8 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "1"
+#: the ``SolverOptions`` a fit document records, each a ``cqrkit fit`` flag
+OPTION_NAMES = ("max_iter", "tol", "rho", "eps_mm")
 
 
 class CsvParseError(ValueError):
@@ -67,16 +70,14 @@ def read_csv(path, response_column) -> Dataset:
         except StopIteration:
             raise CsvParseError("empty file: no header row") from None
         header = [name.strip() for name in header]
-        if isinstance(response_column, int):
-            index = response_column
+        if response_column in header:
+            index = header.index(response_column)
+        elif str(response_column).lstrip("-").isdigit():
+            index = int(response_column)
             if not 0 <= index < len(header):
                 raise CsvParseError(
                     f"response column index {index} out of range; "
                     f"file has {len(header)} columns")
-        elif response_column in header:
-            index = header.index(response_column)
-        elif isinstance(response_column, str) and response_column.lstrip("-").isdigit():
-            return read_csv(path, int(response_column))
         else:
             raise CsvParseError(
                 f"response column {response_column!r} not found; "
@@ -133,7 +134,7 @@ class ResultDocument:
             taus=[float(t) for t in request.levels.taus],
             lam=request.lam,
             options={name: getattr(request.options, name)
-                     for name in ("max_iter", "tol", "rho", "eps_mm")},
+                     for name in OPTION_NAMES},
             intercepts=[float(b) for b in result.intercepts],
             coefficients=[float(b) for b in result.coefficients],
             iterations=int(result.iterations),

@@ -18,9 +18,9 @@ of ``a <= u`` split the residual, ``y* - X* theta = w - z``.
 The program is solved on unit-norm columns of ``X``.  Each iteration
 factors one (K + p)-square Newton matrix ``X*' diag(q) X*``, assembled
 blockwise from ``X`` by ``core.stacked_gram``, and reuses it for the
-predictor and the corrector, by Cholesky.  When ``X*`` is rank deficient
-(p >= n, duplicated columns, a one-hot block beside the intercepts) or
-Cholesky fails, the step is the minimum-norm least-squares solution of the
+predictor and the corrector, by ``core.cholesky``.  From the first one it
+judges singular (p >= n, duplicated columns, a one-hot block beside the
+intercepts), each step is the minimum-norm least-squares solution of the
 same system.  Its right-hand side lies in the range of the matrix, so that
 step solves the system exactly, and every step stays in the row space of
 the scaled ``X*``: at p >= n the fit is the least-L2-norm interpolant on
@@ -45,7 +45,7 @@ iteration count unchanged.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrs
 
 from .core import (
     Dataset,
@@ -53,6 +53,7 @@ from .core import (
     PenaltySpec,
     QuantileLevels,
     SolverOptions,
+    cholesky,
     objective,
     penalty_terms,
     stacked_fit,
@@ -90,7 +91,7 @@ def fit_ip(data: Dataset, levels: QuantileLevels,
     weights, active = penalty_terms(penalty, data.p)
     n, K = data.n, levels.K
     nK = n * K
-    # unit-norm columns, so that no rank test or step sees column units:
+    # unit-norm columns, so that no least-squares step sees column units:
     # column j of X/scale carries coefficient scale_j beta_j.  Its penalty
     # row, e_j / scale_j, still reads beta_j, so the penalty rows and their
     # duals are those of the unscaled program.
@@ -119,28 +120,20 @@ def fit_ip(data: Dataset, levels: QuantileLevels,
     ys = np.concatenate([np.tile(data.Y, K), np.zeros(rows.size)])
     tau = np.concatenate([np.repeat(levels.taus, n), np.full(rows.size, 0.5)])
     u = np.concatenate([np.ones(nK), pen[rows]])
-    b = design_t(u * (1.0 - tau))
-
     a = u * (1.0 - tau)
     s = u * tau                           # slack u - a of the upper bound
-    # Cholesky runs only on a design of full column rank, judged on the
-    # column-scaled Gram matrix.  On an exactly singular matrix it can
-    # succeed on a roundoff pivot and step off the row space of X*.
-    G = gram(np.ones(u.size))
-    norms = np.sqrt(np.diag(G))
-    full_rank = bool(np.all(norms > 0.0)) and (
-        np.linalg.matrix_rank(G / np.outer(norms, norms)) == G.shape[0])
+    b = design_t(a)
+    singular = False                      # decided once, by core.cholesky
 
     def newton_solver(G):                 # rhs -> G^+ rhs
-        if full_rank:
-            try:
-                factor = cho_factor(G)
-                return lambda rhs: cho_solve(factor, rhs)
-            except LinAlgError:
-                pass
+        nonlocal singular
+        if not singular:
+            factor, singular = cholesky(G)
+            if not singular:
+                return lambda rhs: dpotrs(factor, rhs)[0]
         return lambda rhs: np.linalg.lstsq(G, rhs, rcond=None)[0]
 
-    theta = newton_solver(G)(design_t(ys))   # minimum-norm least squares
+    theta = newton_solver(gram(np.ones(u.size)))(design_t(ys))  # least squares
     r = ys - design(theta)
     # units of the stopping rule and the floor: the largest least-squares
     # residual, which y + X gamma leaves alone, or max|y| where that fit is

@@ -63,8 +63,8 @@ def fit_mm(data: Dataset, levels: QuantileLevels,
     """Fit (composite) quantile regression by majorize-minimization.
 
     One exact quadratic minimization (a single Cholesky solve) per
-    iteration; from the first majorizer Hessian that is not positive
-    definite (e.g. p >= n) on, a flagged ridge of 1e-8 * trace/dim is added.
+    iteration.  From the first Hessian that ``core.cholesky`` judges
+    singular (e.g. p >= n) on, a flagged ridge of 1e-8 * trace/dim is added.
     """
     penalty = PenaltySpec.none() if penalty is None else penalty
     opts = SolverOptions() if options is None else options

@@ -29,9 +29,9 @@ alone, so that several final-stage fits can share one pilot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .admm import fit_admm
 from .cd import fit_cd
@@ -121,7 +121,7 @@ def _forward_pilot(request: FitRequest) -> np.ndarray:
     V = float(np.sum(np.minimum.outer(taus, taus) - np.outer(taus, taus)))
     scale = np.sqrt(V * np.sum(X ** 2, axis=0))
     scale[scale == 0.0] = np.inf          # all-zero columns never enter
-    threshold = -ndtri(0.05 / p)
+    threshold = -NormalDist().inv_cdf(0.05 / p)
     selected = []
     coefficients = np.zeros(0)
     intercepts = np.array([sample_quantile(Y, tau) for tau in taus])

@@ -6,6 +6,7 @@ covers the installed entry point.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -85,6 +86,14 @@ def test_fit_output_file(table, tmp_path, capsys):
     assert rc == EXIT_OK
     assert capsys.readouterr().out == ""
     ResultDocument.from_json(out_path.read_text())
+
+
+def test_fit_unwritable_output_is_input_error(table, tmp_path, capsys):
+    rc = main(["fit", "--input", str(table), "--response", "y",
+               "--tau", "0.3", "--algorithm", "cd",
+               "--output", str(tmp_path / "no" / "dir" / "fit.json")])
+    assert rc == EXIT_INPUT
+    assert "cqrkit fit:" in capsys.readouterr().err
 
 
 def test_fit_csv_format(table, capsys):
@@ -175,6 +184,14 @@ def test_fit_nonconvergence_still_emits_document(table, capsys):
     assert rc == EXIT_NOT_CONVERGED
     doc = ResultDocument.from_json(captured.out)
     assert doc.converged is False
+    # a solver that records why it stopped short has the reason logged
+    rc = main(["fit", "--input", str(table), "--response", "y",
+               "--tau", "0.3", "--algorithm", "admm", "--max-iter", "1"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_NOT_CONVERGED
+    assert ResultDocument.from_json(captured.out).converged is False
+    assert re.search(r"within 1 iterations: the (primal|dual) residual "
+                     r"\S+ is above its tolerance", captured.err)
 
 
 # -------------------------------------------------------------- cmd_simulate
@@ -282,9 +299,10 @@ def test_simulate_unwritable_output_is_input_error(tmp_path, capsys):
 
 # ------------------------------------------------------------- entry point
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize",
+                                    "scipy.special"])
 def test_cli_import_leaves_scipy_stats_unloaded(module):
-    # either costs a large share of every command's start-up
+    # each costs a large share of every command's start-up
     proc = subprocess.run(
         [sys.executable, "-c",
          f"import sys, cqrkit.cli; print({module!r} in sys.modules)"],

@@ -17,7 +17,13 @@ from cqrkit import (
     soft_threshold,
     weighted_median,
 )
-from cqrkit.core import fidelity, stacked_fit, stacked_gram, stacked_tdot
+from cqrkit.core import (
+    cholesky,
+    fidelity,
+    stacked_fit,
+    stacked_gram,
+    stacked_tdot,
+)
 
 from oracles import (
     check_loss_scalar,
@@ -362,6 +368,26 @@ def test_stacked_products_match_the_materialized_design():
         R = (Ys - Xs @ theta).reshape(K, n)
         want = stacked_objective_loop(Xs, Ys, taus, theta)
         assert fidelity(R, levels.taus) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_cholesky_judges_a_roundoff_pivot_singular():
+    rng = np.random.default_rng(17)
+    X = rng.standard_normal((100, 4))
+    X[:, 3] = X[:, 0] + X[:, 1]
+    G = stacked_gram(X, np.ones((1, 100)))
+    np.linalg.cholesky(G)     # succeeds, on a pivot of relative size 1e-16
+    U, ridge = cholesky(G)
+    assert ridge
+    ridged = G + 1e-8 * np.trace(G) / 5 * np.eye(5)
+    assert_allclose(np.triu(U).T @ np.triu(U), ridged, rtol=1e-10, atol=1e-12)
+    # full rank, with columns in very different units and very uneven row
+    # weights: factored as it is, unless a fit's earlier verdict says ridge
+    X[:, 3] = rng.standard_normal(100)
+    X *= [1e8, 1e-6, 1.0, 1.0]
+    X[:, 3] += 100.0
+    G = stacked_gram(X, np.exp(rng.uniform(-8.0, 8.0, (1, 100))))
+    assert not cholesky(G)[1]
+    assert cholesky(G, ridge=True)[1]
 
 
 def test_penalty_value_adaptive():

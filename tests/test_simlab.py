@@ -274,6 +274,24 @@ def test_all_failures_yield_nan_row(monkeypatch):
     assert np.isnan(row.mean_error)
 
 
+def test_nonconverged_fits_count_as_failures(monkeypatch):
+    real_fit = simlab.fit
+
+    def stalled(request):
+        result = real_fit(request)
+        result.converged = False
+        return result
+
+    monkeypatch.setattr(simlab, "fit", stalled)
+    seen = []
+    report = run_experiment(_small_config(reps=2),
+                            on_fit=lambda *cell: seen.append(cell))
+    row = report.rows[0]
+    assert row.failures == 2 and row.flagged
+    assert np.isnan(row.mean_error)
+    assert seen == []                 # on_fit sees successful fits only
+
+
 def test_metadata_records_operating_point():
     cfg = _small_config(n=100, p=10, true_support_size=2, regularized=True,
                         reps=1)
