@@ -41,10 +41,10 @@ section 3.3)
 The dual test, which fails first, runs every iteration; the primal side
 only when it passes, or on the last iteration.
 
-A penalized fit moves only its live coordinates, the intercepts and the
-active, nonzero columns: it builds only ``G[:, live]`` (``core.stacked_gram``
-with ``cols``) and reports ``gamma_j / s_j`` as coefficient j, so the rest
-and every thresholded column are exact zeros.  ``X*`` products go through
+A fit moves only its live coordinates, the intercepts and the columns of
+``core.prepare``: it builds only ``G[:, live]`` (``core.stacked_gram`` with
+``cols``).  A penalized fit reports ``gamma_j / s_j`` as coefficient j, so
+every thresholded column is an exact zero.  ``X*`` products go through
 ``core.stacked_fit`` and ``core.stacked_tdot`` on (K, n) arrays.
 """
 
@@ -63,8 +63,7 @@ from .core import (
     SolverOptions,
     _soft_threshold,
     cholesky,
-    objective,
-    penalty_terms,
+    prepare,
     stacked_fit,
     stacked_gram,
     stacked_tdot,
@@ -108,32 +107,24 @@ def fit_admm(data: Dataset, levels: QuantileLevels,
     When the loop stops short, ``diagnostics["reason"]`` names each failing
     residual against its tolerance.
     """
-    penalty = PenaltySpec.none() if penalty is None else penalty
-    opts = SolverOptions() if options is None else options
-    X, Y = data.X, data.Y
-    n, p, K = data.n, data.p, levels.K
-    taus = levels.taus
-    rho = opts.rho
-    d = K + p
+    prob = prepare(data, levels, penalty, options)
+    opts, cols, X_live = prob.options, prob.cols, prob.X
+    X, Y, taus, rho = data.X, data.Y, levels.taus, opts.rho
+    n, K = data.n, levels.K
+    d = K + data.p
 
-    penalized = penalty.regularized
-    weights, active = penalty_terms(penalty, p)
-    # live coordinates: the intercepts and the active, nonzero columns (every
-    # column when unpenalized); the rest of theta stays at its zero start
-    cols = np.flatnonzero(active & X.any(axis=0)) if penalized else np.arange(p)
+    # live coordinates: the intercepts and the columns of ``prepare``; the
+    # rest of theta stays at its zero start
     live = np.concatenate([np.arange(K), K + cols])
-    X_live = X[:, cols]
     G_live = stacked_gram(X, np.ones((K, n)), cols)      # G[:, live]
-    m = cols.size if penalized else 0                    # penalty rows
-    if penalized:
+    H = G_live[live]                                     # G[live, live]
+    m = cols.size if prob.penalty.regularized else 0     # penalty rows
+    if m:
         s = np.linalg.norm(X_live - X_live.mean(axis=0), axis=0)
         s[s == 0.0] = 1.0
-        H = G_live[live]                                 # G[live, live]
         H[K:, K:][np.diag_indices(m)] += s * s
         pen = K + cols                                   # their coordinates
-        thresh = penalty.lam * weights[cols] / (rho * s)
-    else:
-        H = G_live
+        thresh = prob.penalty.lam * prob.weights / (rho * s)
     factor, ridge = cholesky(H)
 
     theta = np.zeros(live.size)           # the live coordinates of theta
@@ -148,7 +139,6 @@ def fit_admm(data: Dataset, levels: QuantileLevels,
     lo = ((taus - 1.0) / rho)[:, None]
     hi = (taus / rho)[:, None]
     converged = False
-    iterations = 0
     primal_norm = dual_norm = np.inf
     eps_primal = eps_dual = np.nan
     primal_abs = np.sqrt(n * K + m) * opts.eps_abs
@@ -167,7 +157,7 @@ def fit_admm(data: Dataset, levels: QuantileLevels,
             zg = cg - gamma
             h[pen] -= s * zg
         xr_prev, xr = xr, xty + xw - h
-        theta, _ = dpotrs(factor, h[live] if penalized else h)
+        theta, _ = dpotrs(factor, h[live])
         g = G_live @ theta
         if m:
             st_old, st = st, s * theta[K:]
@@ -202,11 +192,6 @@ def fit_admm(data: Dataset, levels: QuantileLevels,
     state = AdmmState(beta=beta, r=(c - z).ravel(), u=(rho * w).ravel(),
                       iteration=iterations, r_prev=(c_prev - z_prev).ravel(),
                       gamma=gamma, v=rho * wg, gamma_prev=gamma_prev)
-    intercepts = beta[:K].copy()
-    coefficients = beta[K:].copy()
-    if penalized:
-        coefficients[cols] = gamma / s
-    obj = objective(data, intercepts, coefficients, levels, penalty)
     diagnostics = {
         "state": state,
         "primal_norm": float(primal_norm),
@@ -221,6 +206,5 @@ def fit_admm(data: Dataset, levels: QuantileLevels,
             for side, norm, eps in (("primal", primal_norm, eps_primal),
                                     ("dual", dual_norm, eps_dual))
             if norm > eps)
-    return FitResult(intercepts=intercepts, coefficients=coefficients,
-                     iterations=iterations, converged=converged,
-                     objective=obj, algorithm="admm", diagnostics=diagnostics)
+    return prob.result("admm", theta[:K], gamma / s if m else theta[K:],
+                       iterations, converged, diagnostics)

@@ -19,11 +19,11 @@ makes every sweep provably monotone.
 Intercepts are exact one-dimensional minimizers: ``b_k`` is the level-
 ``tau_k`` sample quantile of ``y_i - x_i' beta``.
 
-A sweep updates all intercepts then all coordinates in ascending order;
-sweeps repeat until the largest parameter change drops under ``tol``.  The
-sweep keeps the residuals ``r_ik = y_i - b_k - x_i' beta`` as a (K, n)
-array in the level-major layout of ``core`` and returns them in
-``diagnostics["residuals"]``.
+A sweep updates all intercepts, then the coefficients of the columns of
+``core.prepare`` in ascending order (the rest stay at zero); sweeps repeat
+until the largest parameter change drops under ``tol``.  The sweep keeps
+the (K, n) residuals ``r_ik = y_i - b_k - x_i' beta`` in the level-major
+layout of ``core`` and returns them in ``diagnostics["residuals"]``.
 
 Cyclic sweeps alone routinely terminate at coordinatewise-minimal points
 that are not global minima (the objective is piecewise linear, so descent
@@ -76,8 +76,7 @@ from .core import (
     _sample_quantile,
     _weighted_median,
     fidelity,
-    penalty_terms,
-    penalty_value,
+    prepare,
     stacked_fit,
     stacked_tdot,
 )
@@ -100,10 +99,18 @@ def _coordinate_step(R, x_m, taus, beta_m, pseudo, fid, pen):
     ``R`` holds the (K, n) residuals at the current point, ``fid`` and
     ``pen`` its fidelity and penalty, and ``pseudo`` the coefficient's
     penalty weight ``lam w_m``.  Returns ``(beta_m, R, fid, pen)`` after the
-    step: at the weighted median of the breakpoints when that does not
-    increase the full objective, else unchanged.
+    step: at the weighted median of the breakpoints, with a pseudo-point at
+    zero of weight ``pseudo``, when that does not increase the full
+    objective, else unchanged.
     """
-    cand = _coordinate_candidate(R, x_m, taus, beta_m, pseudo)
+    rows = x_m != 0.0
+    Rm, xm = R[:, rows], x_m[rows]
+    z = (Rm / xm[None, :] + beta_m).ravel()              # breakpoints z_ik
+    w = (np.abs(xm)[None, :]
+         * np.where(Rm >= 0.0, taus[:, None], 1.0 - taus[:, None])).ravel()
+    if pseudo > 0.0:
+        z, w = np.append(z, 0.0), np.append(w, pseudo)
+    cand = _weighted_median(z, w)
     if cand != beta_m:
         new_R = R - (cand - beta_m) * x_m[None, :]
         new_fid = fidelity(new_R, taus)
@@ -111,22 +118,6 @@ def _coordinate_step(R, x_m, taus, beta_m, pseudo, fid, pen):
         if new_fid + new_pen <= fid + pen:
             return cand, new_R, new_fid, new_pen
     return beta_m, R, fid, pen
-
-
-def _coordinate_candidate(R, x_m, taus, beta_m, pseudo_weight):
-    """Weighted median of the coordinate-m breakpoints (plus pseudo-point)."""
-    rows = x_m != 0.0
-    Rm = R[:, rows]
-    xm = x_m[rows]
-    z = Rm / xm[None, :] + beta_m                        # breakpoints z_ik
-    theta = np.where(Rm >= 0.0, taus[:, None], 1.0 - taus[:, None])
-    w = np.abs(xm)[None, :] * theta
-    z = z.ravel()
-    w = w.ravel()
-    if pseudo_weight > 0.0:
-        z = np.append(z, 0.0)
-        w = np.append(w, pseudo_weight)
-    return _weighted_median(z, w)
 
 
 def _identifiable(X):
@@ -260,29 +251,21 @@ def fit_cd(data: Dataset, levels: QuantileLevels,
     """Fit (composite) quantile regression by safeguarded coordinate descent.
 
     The sweeps end in the simplex finish, and ``converged`` is true exactly
-    when the finish ends ``optimal``.  ``max_iter`` counts full sweeps.  ``diagnostics["max_objective_increase"]``
-    reports the largest observed objective change over all accepted updates
-    (monotonicity audit; at most roundoff).
+    when the finish ends ``optimal``.  ``max_iter`` counts full sweeps.
+    ``diagnostics["max_objective_increase"]`` reports the largest observed
+    objective change over all accepted updates (monotonicity audit; at most
+    roundoff), and ``diagnostics["skipped_columns"]`` the columns left out.
     """
-    penalty = PenaltySpec.none() if penalty is None else penalty
-    opts = SolverOptions() if options is None else options
-    X, Y = data.X, data.Y
-    n, p, K = data.n, data.p, levels.K
-    taus = levels.taus
+    prob = prepare(data, levels, penalty, options)
+    opts, X, Y, K = prob.options, prob.X, data.Y, levels.K
+    p, taus = prob.cols.size, levels.taus
+    pseudo = prob.penalty.lam * prob.weights
 
-    weights, active = penalty_terms(penalty, p)
-    pseudo = penalty.lam * weights
-
-    zero_cols = ~np.any(X != 0.0, axis=0)
-    usable = active & ~zero_cols
-
-    beta = np.zeros(p)
-    b = np.zeros(K)
+    beta, b = np.zeros(p), np.zeros(K)
     R = np.tile(Y, (K, 1))                # (K, n) residuals at the zero start
     fid = fidelity(R, taus)
-    pen = penalty_value(beta, penalty)
+    pen = 0.0
     max_increase = -np.inf
-    sweeps = 0
 
     for sweeps in range(1, opts.max_iter + 1):
         biggest = 0.0
@@ -294,12 +277,8 @@ def fit_cd(data: Dataset, levels: QuantileLevels,
                 new_fid = fidelity(new_R, taus)
                 max_increase = max(max_increase, new_fid - fid)
                 biggest = max(biggest, abs(new_b - b[k]))
-                b[k] = new_b
-                R = new_R
-                fid = new_fid
+                b[k], R, fid = new_b, new_R, new_fid
         for m in range(p):
-            if not usable[m]:
-                continue
             value, new_R, new_fid, new_pen = _coordinate_step(
                 R, X[:, m], taus, beta[m], pseudo[m], fid, pen)
             if value != beta[m]:
@@ -311,37 +290,33 @@ def fit_cd(data: Dataset, levels: QuantileLevels,
 
     # zero-weight columns (all of them when unpenalized) are cut to a set
     # the data identify; a positive weight's row e_j identifies its column
-    cols = usable.copy()
-    free = usable & (pseudo == 0.0)
+    keep = np.ones(p, dtype=bool)
+    free = pseudo == 0.0
     if np.any(free):
-        cols[free] = _identifiable(X[:, free])
-    theta, pivots, status = _simplex_finish(X[:, cols], Y, taus, pseudo[cols],
-                                            R, beta[cols])
+        keep[free] = _identifiable(X[:, free])
+    theta, pivots, status = _simplex_finish(X[:, keep], Y, taus, pseudo[keep],
+                                            R, beta[keep])
     polish_info = {"pivots": pivots, "status": status, "improvement": 0.0}
     converged = status == "optimal"
     if converged:
         cand_beta = np.zeros(p)
-        cand_beta[cols] = theta[K:]
+        cand_beta[keep] = theta[K:]
         cand_b = theta[:K]
         cand_R = Y[None, :] - stacked_fit(X, np.concatenate([cand_b, cand_beta]))
         cand_fid = fidelity(cand_R, taus)
-        cand_pen = penalty_value(cand_beta, penalty)
+        cand_pen = float(np.sum(pseudo * np.abs(cand_beta)))
         polish_info["improvement"] = float((fid + pen) - (cand_fid + cand_pen))
         # an optimal vertex can sit a roundoff above an optimal sweep point
         if cand_fid + cand_pen <= fid + pen:
             b, beta, R = cand_b, cand_beta, cand_R
-            fid, pen = cand_fid, cand_pen
 
     diagnostics = {
         "residuals": R.copy(),
         "max_objective_increase": float(max_increase),
-        "skipped_columns": np.nonzero(zero_cols)[0],
+        "skipped_columns": np.setdiff1d(np.arange(data.p), prob.cols),
         "polish": polish_info,
     }
     if not converged:
         diagnostics["reason"] = (f"the simplex finish ended {status!r} after "
                                  f"{pivots} pivots")
-    return FitResult(intercepts=b.copy(), coefficients=beta.copy(),
-                     iterations=sweeps, converged=converged,
-                     objective=fid + pen, algorithm="cd",
-                     diagnostics=diagnostics)
+    return prob.result("cd", b, beta, sweeps, converged, diagnostics)

@@ -14,6 +14,9 @@ the product ``X* theta``, ``stacked_tdot`` the product ``X*' V``, and
 ``stacked_gram`` the matrix ``X*' diag(D) X*`` that the MM, ADMM and
 interior-point fitters factor through ``cholesky``.
 
+Every fitter starts from ``prepare``, which picks the columns the fit moves,
+and ends with ``Problem.result``, which reports the answer over all p.
+
 Conventions
 -----------
 * A quantile regression model at level ``tau`` is ``y ~ b + x' beta``.  The
@@ -40,6 +43,7 @@ __all__ = [
     "PenaltySpec",
     "SolverOptions",
     "FitResult",
+    "Problem",
     "ConvergenceError",
     "check_loss",
     "soft_threshold",
@@ -54,6 +58,7 @@ __all__ = [
     "stacked_gram",
     "cholesky",
     "objective",
+    "prepare",
 ]
 
 #: cutoff below which a pilot coefficient is treated as exactly zero
@@ -455,3 +460,46 @@ def objective(data: Dataset, intercepts, beta, levels: QuantileLevels,
         raise ValueError("parameters must be finite")
     R = data.Y[None, :] - stacked_fit(data.X, np.concatenate([intercepts, beta]))
     return fidelity(R, levels.taus) + penalty_value(beta, penalty)
+
+
+@dataclass
+class Problem:
+    """A fit's problem on the columns it moves, as ``prepare`` builds it.
+
+    ``cols`` are the columns active under the penalty and not all zero,
+    ``X`` is ``data.X[:, cols]``, ``weights`` their adaptive weights, and
+    ``options`` has its defaults filled in.
+    """
+
+    data: Dataset
+    levels: QuantileLevels
+    penalty: PenaltySpec
+    options: SolverOptions
+    cols: np.ndarray
+    X: np.ndarray
+    weights: np.ndarray
+
+    def result(self, algorithm, intercepts, beta, iterations, converged,
+               diagnostics) -> FitResult:
+        """The ``FitResult`` at ``intercepts`` and ``beta`` on ``cols``, every
+        other coefficient zero, with its ``objective``."""
+        intercepts = np.array(intercepts, dtype=float)
+        coefficients = np.zeros(self.data.p)
+        coefficients[self.cols] = beta
+        obj = objective(self.data, intercepts, coefficients, self.levels,
+                        self.penalty)
+        return FitResult(intercepts, coefficients, iterations, converged, obj,
+                         algorithm, diagnostics)
+
+
+def prepare(data: Dataset, levels: QuantileLevels,
+            penalty: PenaltySpec | None = None,
+            options: SolverOptions | None = None) -> Problem:
+    """The ``Problem`` of a fit, unpenalized and with default options when
+    those are not given; ``ValueError`` if the pilot's length is not p."""
+    penalty = PenaltySpec.none() if penalty is None else penalty
+    options = SolverOptions() if options is None else options
+    weights, active = penalty_terms(penalty, data.p)
+    cols = np.flatnonzero(active & data.X.any(axis=0))
+    return Problem(data, levels, penalty, options, cols, data.X[:, cols],
+                   weights[cols])

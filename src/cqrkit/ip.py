@@ -30,8 +30,8 @@ with a rescaling of the columns.
 The adaptive lasso enters as rows (quantreg's ``rq.fit.lasso``): each
 active coefficient ``j`` adds the row ``e_j`` with response 0, level 1/2
 and weight ``2 lam w_j``, whose check loss is ``lam w_j |beta_j|`` (on
-the unit-norm columns the row is ``e_j / ||x_j||``).
-Inactive coefficients are dropped from the design, which pins them at zero.
+the unit-norm columns the row is ``e_j / ||x_j||``).  Only the columns of
+``core.prepare`` enter the design; the rest are pinned at zero.
 
 The fit converges when the duality gap ``a'z + (u - a)'w`` is at most
 ``GAP_TOL (unit + |primal|)``, the primal value being the dual's plus the
@@ -54,8 +54,7 @@ from .core import (
     QuantileLevels,
     SolverOptions,
     cholesky,
-    objective,
-    penalty_terms,
+    prepare,
     stacked_fit,
     stacked_gram,
     stacked_tdot,
@@ -64,6 +63,8 @@ from .core import (
 __all__ = ["fit_ip"]
 
 GAP_TOL = 1e-8
+#: iterations at most, whatever ``SolverOptions.max_iter`` allows
+MAX_ITER = 200
 #: fraction of the distance to the boundary an iterate may move (quantreg's beta)
 STEP = 0.99995
 #: floor, in the stopping rule's unit, on both multipliers of a row whose
@@ -86,20 +87,16 @@ def fit_ip(data: Dataset, levels: QuantileLevels,
     rows, then one row per penalized coefficient.  ``diagnostics["gap"]`` is
     the final duality gap.
     """
-    penalty = PenaltySpec.none() if penalty is None else penalty
-    opts = SolverOptions() if options is None else options
-    weights, active = penalty_terms(penalty, data.p)
+    prob = prepare(data, levels, penalty, options)
     n, K = data.n, levels.K
     nK = n * K
     # unit-norm columns, so that no least-squares step sees column units:
     # column j of X/scale carries coefficient scale_j beta_j.  Its penalty
     # row, e_j / scale_j, still reads beta_j, so the penalty rows and their
     # duals are those of the unscaled program.
-    X = data.X[:, active]
-    scale = np.linalg.norm(X, axis=0)
-    scale[scale == 0.0] = 1.0
-    X = X / scale
-    pen = 2.0 * penalty.lam * weights[active]
+    scale = np.linalg.norm(prob.X, axis=0)
+    X = prob.X / scale
+    pen = 2.0 * prob.penalty.lam * prob.weights
     rows = np.nonzero(pen > 0.0)[0]       # active columns with a penalty row
     inv = 1.0 / scale[rows]
 
@@ -146,12 +143,13 @@ def fit_ip(data: Dataset, levels: QuantileLevels,
     z = np.maximum(-r, 0.0) + floor
     w = np.maximum(r, 0.0) + floor
 
-    cap = min(opts.max_iter, 200)
+    cap = min(prob.options.max_iter, MAX_ITER)
     iterations = 0
     while True:
         gap = float(a @ z + s @ w)
         dual_value = float(ys @ (a - u * (1.0 - tau)))
-        converged = gap <= GAP_TOL * (unit + abs(dual_value + gap))
+        tol = GAP_TOL * (unit + abs(dual_value + gap))
+        converged = gap <= tol
         if converged or iterations == cap:
             break
         iterations += 1
@@ -186,11 +184,11 @@ def fit_ip(data: Dataset, levels: QuantileLevels,
         z = z + ad * dz
         w = w + ad * dw
 
-    intercepts = theta[:K].copy()
-    coefficients = np.zeros(data.p)
-    coefficients[active] = theta[K:] / scale
-    obj = objective(data, intercepts, coefficients, levels, penalty)
-    return FitResult(intercepts=intercepts, coefficients=coefficients,
-                     iterations=iterations, converged=converged,
-                     objective=obj, algorithm="ip",
-                     diagnostics={"dual": a, "gap": gap})
+    diagnostics = {"dual": a, "gap": gap}
+    if not converged:
+        diagnostics["reason"] = (
+            f"the duality gap {gap:.3g} is above its tolerance {tol:.3g}"
+            + (f" at IP's cap of {MAX_ITER} iterations"
+               if cap < prob.options.max_iter else ""))
+    return prob.result("ip", theta[:K], theta[K:] / scale, iterations,
+                       converged, diagnostics)

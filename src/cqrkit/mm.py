@@ -20,9 +20,10 @@ that combined quantity cannot increase across a solve.  Each fit records its
 worst observed increase in ``diagnostics["max_descent_violation"]`` (roundoff
 aside this is <= 0).
 
-Penalized coordinates whose magnitude falls below 1e-6 are frozen at zero at
-the start of the next iteration, which keeps the ``1/(|beta_j| + eps)``
-curvature bounded.
+Only the columns of ``core.prepare`` enter the system.  Penalized
+coordinates whose magnitude falls below 1e-6 are frozen at zero at the start
+of the next iteration, which keeps the ``1/(|beta_j| + eps)`` curvature
+bounded.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ from .core import (
     SolverOptions,
     cholesky,
     fidelity,
-    objective,
-    penalty_terms,
+    prepare,
     stacked_fit,
     stacked_gram,
     stacked_tdot,
@@ -66,50 +66,44 @@ def fit_mm(data: Dataset, levels: QuantileLevels,
     iteration.  From the first Hessian that ``core.cholesky`` judges
     singular (e.g. p >= n) on, a flagged ridge of 1e-8 * trace/dim is added.
     """
-    penalty = PenaltySpec.none() if penalty is None else penalty
-    opts = SolverOptions() if options is None else options
-    X, Y = data.X, data.Y
-    p, K = data.p, levels.K
-    taus = levels.taus
-    eps = opts.eps_mm
-    d = K + p
-
-    penalized = penalty.regularized
-    weights, active = penalty_terms(penalty, p)
-    lam = penalty.lam
-    frozen = ~active                      # inactive coordinates start frozen
+    prob = prepare(data, levels, penalty, options)
+    opts, X, Y, K = prob.options, prob.X, data.Y, levels.K
+    Xr = np.ascontiguousarray(X)          # row-major, for the fitted values
+    taus, eps, d = levels.taus, opts.eps_mm, K + prob.cols.size
+    penalized, lam, weights = (prob.penalty.regularized, prob.penalty.lam,
+                               prob.weights)
+    frozen = np.zeros(prob.cols.size, dtype=bool)
     linear = 0.5 * (taus - 0.5)[:, None]  # the majorizers' linear term per level
 
     theta = np.zeros(d)
     if penalized:
         # start from the pilot: a zero start would sit at the penalty's
         # curvature singularity and freeze every coordinate immediately
-        theta[K:][active] = penalty.pilot[active]
-    R = Y[None, :] - stacked_fit(X, theta)   # residuals r_ik, (K, n)
+        theta[K:] = prob.penalty.pilot[prob.cols]
+    R = Y[None, :] - stacked_fit(Xr, theta)   # residuals r_ik, (K, n)
 
     def surrogate_objective(th, residuals):
         val = fidelity(residuals, taus)
         val -= 0.5 * eps * np.sum(np.log(eps + np.abs(residuals)))
         if penalized:
-            live = active & ~frozen
+            live = ~frozen
             val += lam * np.sum(weights[live] * _perturbed_l1(th[K:][live], eps))
         return float(val)
 
     ridge = False
     max_violation = -np.inf
     converged = False
-    iterations = 0
     base = None                           # surrogate at (theta, R), carried
 
     for iterations in range(1, opts.max_iter + 1):
         if penalized:
             # freeze coordinates the penalty has crushed; from here on they
             # are exact zeros and leave the linear system
-            small = active & ~frozen & (np.abs(theta[K:]) < FREEZE_THRESHOLD)
+            small = ~frozen & (np.abs(theta[K:]) < FREEZE_THRESHOLD)
             if np.any(small):
                 frozen |= small
                 theta[K:][small] = 0.0
-                R = Y[None, :] - stacked_fit(X, theta)
+                R = Y[None, :] - stacked_fit(Xr, theta)
                 base = None
 
         if base is None:
@@ -131,7 +125,7 @@ def fit_mm(data: Dataset, levels: QuantileLevels,
         theta_new = np.zeros(d)
         theta_new[:K] = sol[:K]
         theta_new[K:][free] = sol[K:]
-        R_new = Y[None, :] - stacked_fit(X, theta_new)
+        R_new = Y[None, :] - stacked_fit(Xr, theta_new)
 
         value = surrogate_objective(theta_new, R_new)
         max_violation = max(max_violation, value - base)
@@ -142,15 +136,15 @@ def fit_mm(data: Dataset, levels: QuantileLevels,
             converged = True
             break
 
-    intercepts = theta[:K].copy()
-    coefficients = theta[K:].copy()
-    obj = objective(data, intercepts, coefficients, levels, penalty)
     diagnostics = {
         "max_descent_violation": float(max_violation),
         "ridge": ridge,
         "eps": eps,
-        "frozen": frozen.copy() if penalized else None,
+        "frozen": (~np.isin(np.arange(data.p), prob.cols[~frozen])
+                   if penalized else None),
     }
-    return FitResult(intercepts=intercepts, coefficients=coefficients,
-                     iterations=iterations, converged=converged,
-                     objective=obj, algorithm="mm", diagnostics=diagnostics)
+    if not converged:
+        diagnostics["reason"] = (f"the parameter change {delta:.3g} is not "
+                                 f"below its tolerance {opts.tol:.3g}")
+    return prob.result("mm", theta[:K], theta[K:], iterations, converged,
+                       diagnostics)

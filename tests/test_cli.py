@@ -161,6 +161,8 @@ def test_fit_usage_errors_exit_64(table):
     assert _usage_exit(base) == EXIT_USAGE  # --tau/--algorithm missing
     assert _usage_exit(base + ["--tau", "1.5", "--algorithm", "cd"]) == EXIT_USAGE
     assert _usage_exit(base + ["--tau", "abc", "--algorithm", "cd"]) == EXIT_USAGE
+    assert _usage_exit(base + ["--tau", ",", "--algorithm", "cd"]) == EXIT_USAGE
+    assert _usage_exit(base + ["--tau", "0.3,0.3", "--algorithm", "cd"]) == EXIT_USAGE
     assert _usage_exit(base + ["--tau", "0.3", "--algorithm", "simplex"]) == EXIT_USAGE
     assert _usage_exit(base + ["--tau", "0.3", "--algorithm", "cd",
                                "--lambda", "-1"]) == EXIT_USAGE
@@ -184,14 +186,19 @@ def test_fit_nonconvergence_still_emits_document(table, capsys):
     assert rc == EXIT_NOT_CONVERGED
     doc = ResultDocument.from_json(captured.out)
     assert doc.converged is False
-    # a solver that records why it stopped short has the reason logged
-    rc = main(["fit", "--input", str(table), "--response", "y",
-               "--tau", "0.3", "--algorithm", "admm", "--max-iter", "1"])
-    captured = capsys.readouterr()
-    assert rc == EXIT_NOT_CONVERGED
-    assert ResultDocument.from_json(captured.out).converged is False
-    assert re.search(r"within 1 iterations: the (primal|dual) residual "
-                     r"\S+ is above its tolerance", captured.err)
+    assert re.search(r"within 1 iterations: the parameter change \S+ is not "
+                     r"below its tolerance 1e-300", captured.err)
+    # every iterative solver logs why it stopped short
+    for algorithm, reason in (("admm", r"the (primal|dual) residual \S+ is "
+                                       r"above its tolerance"),
+                              ("ip", r"the duality gap \S+ is above its "
+                                     r"tolerance")):
+        rc = main(["fit", "--input", str(table), "--response", "y",
+                   "--tau", "0.3", "--algorithm", algorithm, "--max-iter", "1"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_NOT_CONVERGED
+        assert ResultDocument.from_json(captured.out).converged is False
+        assert re.search(r"within 1 iterations: " + reason, captured.err)
 
 
 # -------------------------------------------------------------- cmd_simulate
@@ -280,6 +287,7 @@ def test_simulate_usage_errors(tmp_path, capsys):
     argv = ["simulate", "--preset", "qr-noreg", "--n", "40", "--p", "2",
             "--algorithms", "sgd", "--output", out]
     assert _usage_exit(argv) == EXIT_USAGE  # unknown algorithm
+    assert _usage_exit(argv[:-3] + [",", *argv[-2:]]) == EXIT_USAGE  # no algorithm
     # lambda makes no sense without a regularized preset
     rc, _ = _simulate(tmp_path, "--lambda", "1.0")
     assert rc == EXIT_USAGE

@@ -182,6 +182,7 @@ def test_weighted_median_errors():
         weighted_median([1.0, 2.0], [1.0, -0.5])
     with pytest.raises(ValueError):
         weighted_median([1.0, 2.0], [0.0, 0.0])
+    pytest.raises(ValueError, weighted_median, [1.0, np.nan], [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +417,8 @@ def test_objective_shape_errors():
         objective(data, [0.0], [1.0], levels, PenaltySpec.none())   # K mismatch
     with pytest.raises(ValueError):
         objective(data, [0.0, 0.0], [1.0, 2.0], levels, PenaltySpec.none())
+    pytest.raises(ValueError, objective, data, [0.0, np.inf], [1.0], levels,
+                  PenaltySpec.none())                        # not finite
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +447,7 @@ def test_quantile_levels_validation():
         QuantileLevels(np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         QuantileLevels(np.array([0.7, 0.3]))
+    pytest.raises(ValueError, QuantileLevels.grid, 0)
     levels = QuantileLevels.grid(9)
     assert_allclose(levels.taus, np.arange(1, 10) / 10.0)
     assert levels.K == 9
@@ -474,3 +478,4 @@ def test_solver_options_defaults_and_validation():
         SolverOptions(tol=-1e-5)
     with pytest.raises(ValueError):
         SolverOptions(rho=0.0)
+    pytest.raises(ValueError, SolverOptions, eps_rel=-1e-4)

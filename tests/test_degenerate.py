@@ -8,7 +8,7 @@ and land on the interior point's objective to criterion 1's tolerance.
 import numpy as np
 import pytest
 
-from cqrkit import Dataset, QuantileLevels
+from cqrkit import Dataset, PenaltySpec, QuantileLevels
 from cqrkit.pipeline import SOLVERS
 
 #: criterion 1's relative tolerance against the interior point
@@ -54,4 +54,24 @@ def test_converged_fits_on_singular_designs_reach_the_optimum(name, K):
         assert np.all(np.isfinite(fit.intercepts)), tag
         assert np.all(np.isfinite(fit.coefficients)), tag
         assert abs(fit.objective - best.objective) <= tol, (
+            tag, fit.objective, best.objective)
+
+
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("penalized", [False, True])
+def test_all_zero_column_is_left_out_of_every_fit(penalized, K):
+    # every solver moves only the columns of ``core.prepare``: an all-zero
+    # column, even one whose pilot is nonzero, stays exactly at zero and
+    # leaves no singular Gram behind it, so neither ADMM nor MM ridges
+    data = _singular_design("zero-column")
+    levels = QuantileLevels.single(0.5) if K == 1 else QuantileLevels.grid(K)
+    penalty = (PenaltySpec.adaptive_lasso(1.0, np.full(data.p, 0.5))
+               if penalized else None)
+    best = SOLVERS["ip"](data, levels, penalty)
+    for tag, fitter in SOLVERS.items():
+        fit = fitter(data, levels, penalty)
+        assert fit.converged, tag
+        assert fit.coefficients[2] == 0.0, tag
+        assert not fit.diagnostics.get("ridge", False), tag
+        assert abs(fit.objective - best.objective) <= GAP_TOL * best.objective, (
             tag, fit.objective, best.objective)

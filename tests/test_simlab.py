@@ -129,6 +129,12 @@ def test_config_validates_support_and_algorithms():
         SimConfig(n=10, p=2, levels=levels, algorithms=())
     with pytest.raises(ValueError):
         SimConfig(n=10, p=2, levels=levels, algorithms=("simplex",))
+    pytest.raises(ValueError, SimConfig, n=0, p=2, levels=levels,
+                  algorithms=("cd",))
+    pytest.raises(ValueError, SimConfig, n=10, p=2, levels=levels,
+                  algorithms=("cd",), reps=0)
+    pytest.raises(ValueError, SimConfig, n=10, p=2, levels=levels,
+                  algorithms=("cd",), selection_threshold=-1.0)
     for lam in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             SimConfig(n=10, p=2, levels=levels, algorithms=("cd",),
