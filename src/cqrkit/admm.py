@@ -18,7 +18,7 @@ where that is 0).  So every fit is an unpenalized one over ``nK + m`` rows:
                   z = clip(c, -t_j, t_j), t_j = lam w_j / (rho s_j), on the
                   penalty rows (the soft threshold, core._soft_threshold)
     theta-update  H theta = A'(b - r + u/rho), H = A'A = G + diag(0_K, s^2),
-                  one cached Cholesky factor (core.cholesky), G = X*' X*
+                  one cached solve (core.cholesky, core.cho_solver), G = X*' X*
     u-update      u <- u + rho (b - r - A theta)
 
 With ``theta_old`` the iterate ``c`` was formed at, the loop carries ``z``
@@ -53,7 +53,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 from .core import (
     Dataset,
@@ -62,6 +61,7 @@ from .core import (
     QuantileLevels,
     SolverOptions,
     _soft_threshold,
+    cho_solver,
     cholesky,
     prepare,
     stacked_fit,
@@ -125,7 +125,8 @@ def fit_admm(data: Dataset, levels: QuantileLevels,
         H[K:, K:][np.diag_indices(m)] += s * s
         pen = K + cols                                   # their coordinates
         thresh = prob.penalty.lam * prob.weights / (rho * s)
-    factor, ridge = cholesky(H)
+    U, ridge = cholesky(H)
+    solve = cho_solver(U)
 
     theta = np.zeros(live.size)           # the live coordinates of theta
     Y_row = Y[None, :]
@@ -157,7 +158,7 @@ def fit_admm(data: Dataset, levels: QuantileLevels,
             zg = cg - gamma
             h[pen] -= s * zg
         xr_prev, xr = xr, xty + xw - h
-        theta, _ = dpotrs(factor, h[live])
+        theta = solve(h[live])
         g = G_live @ theta
         if m:
             st_old, st = st, s * theta[K:]

@@ -38,14 +38,18 @@ rows ``B`` the multipliers are ``u = -B'^{-1} A_N' psi_N``, where ``psi``
 is the check-loss slope of each nonbasic row (``core.stacked_tdot``); a
 multiplier outside its box names a descending edge, and the step along it
 is a weighted-median search over the breakpoints of ``A v``
-(``core.stacked_fit``).  The basis is factored afresh at every pivot.
+(``core.stacked_fit``).  The basis is inverted afresh at every pivot, and
+the pivot's four solves are products with that inverse; a basis is
+``degenerate`` when it is singular or its condition number
+``||B||_inf ||B^{-1}||_inf`` reaches 1e13.
 
 The finish starts from the sweep's point: the rows nearest zero that are
 linearly independent form the first basis.  Columns with zero penalty
 weight (all of them when the fit is unpenalized) are first cut to an
-identifiable set by one pivoted QR of the centered, unit-norm columns, so
-duplicated, constant and one-hot-block columns drop out whatever their
-units, and at ``p >= n`` an unpenalized fit ends on an interpolating vertex.
+identifiable set of the centered, unit-norm columns, so duplicated,
+constant and one-hot-block columns drop out whatever their units, and at
+``p >= n`` an unpenalized fit ends on an interpolating vertex.  Both
+choices are one Gram-Schmidt pass (``_independent``) in a fixed order.
 Degenerate vertices, with more zero residuals than parameters, would let
 pivots cycle.  A residual within roundoff of zero (``1e-11 max|y|``)
 therefore takes its side from a fixed-seed random perturbation of the
@@ -65,7 +69,6 @@ status and objective improvement over the sweeps.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     Dataset,
@@ -120,22 +123,41 @@ def _coordinate_step(R, x_m, taus, beta_m, pseudo, fid, pen):
     return beta_m, R, fid, pen
 
 
+def _independent(A, tol):
+    """Indices of the rows of ``A``, in order, that are independent of the
+    rows kept before them.
+
+    Gram-Schmidt, projecting twice: a row is kept when what is left of it
+    exceeds ``tol`` times its norm.  The basis has ``min(A.shape)`` vectors,
+    and the pass stops once it is full.
+    """
+    Q = np.zeros((A.shape[1], min(A.shape)))
+    kept = []
+    for i, a in enumerate(A):
+        w = a - Q @ (Q.T @ a)
+        w -= Q @ (Q.T @ w)
+        size = np.linalg.norm(w)
+        if size > tol * np.linalg.norm(a):
+            Q[:, len(kept)] = w / size
+            kept.append(i)
+            if len(kept) == Q.shape[1]:
+                break
+    return np.array(kept, dtype=int)
+
+
 def _identifiable(X):
     """Columns of ``X`` that, beside the intercepts, have full column rank.
 
-    One pivoted QR of the centered, unit-norm columns, so the choice does
-    not depend on each column's units: constant columns center to zero, and
-    duplicated columns and blocks that sum to a constant come out dependent.
+    ``_independent`` on the centered, unit-norm columns, in column order, so
+    the choice does not depend on each column's units: constant columns
+    center to zero, and of duplicated columns and of blocks that sum to a
+    constant the first columns are kept and the last one cut.
     """
     keep = np.zeros(X.shape[1], dtype=bool)
     Xc = X - X.mean(axis=0)
     norms = np.linalg.norm(Xc, axis=0)
-    live = norms > 1e-12 * np.linalg.norm(X, axis=0)
-    if np.any(live):
-        _, Rq, piv = scipy.linalg.qr(Xc[:, live] / norms[live], mode="economic",
-                                     pivoting=True)
-        rank = int(np.sum(np.abs(np.diag(Rq)) > 1e-9))
-        keep[np.flatnonzero(live)[piv[:rank]]] = True
+    live = np.flatnonzero(norms > 1e-12 * np.linalg.norm(X, axis=0))
+    keep[live[_independent((Xc[:, live] / norms[live]).T, 1e-9)]] = True
     return keep
 
 
@@ -151,7 +173,7 @@ def _simplex_finish(X, Y, taus, pseudo, R, beta):
     ``beta`` are the sweep's residuals and coefficients, which pick the
     starting vertex.  Returns ``(theta, pivots, status)``; status is
     ``optimal`` (every basic multiplier in its box, the dual certificate),
-    ``maxpivots`` (1000 pivots), ``degenerate`` (no nonsingular basis) or
+    ``maxpivots`` (1000 pivots), ``degenerate`` (no well-conditioned basis) or
     ``unbounded`` (roundoff: no breakpoint ends a descending edge).
     """
     K, n = R.shape
@@ -179,20 +201,9 @@ def _simplex_finish(X, Y, taus, pseudo, R, beta):
     # start: the d rows nearest zero at the sweep point that are independent
     r = np.concatenate([R.ravel(), -beta[pen]])
     order = np.argsort(np.abs(r) * (wpos + wneg), kind="stable")
-    Q = np.zeros((d, d))
-    basis = []
-    for i, a in zip(order, rows(order)):
-        w = a - Q @ (Q.T @ a)
-        w -= Q @ (Q.T @ w)
-        size = np.linalg.norm(w)
-        if size > 1e-8 * np.linalg.norm(a):
-            Q[:, len(basis)] = w / size
-            basis.append(i)
-            if len(basis) == d:
-                break
-    if len(basis) < d:
+    basis = order[_independent(rows(order), 1e-8)]
+    if basis.size < d:
         return np.zeros(d), 0, "degenerate"
-    basis = np.array(basis)
 
     # A residual within roundoff of zero takes its side from a fixed random
     # perturbation of the targets, as if that perturbation were infinitely
@@ -203,20 +214,23 @@ def _simplex_finish(X, Y, taus, pseudo, R, beta):
     pivots = 0
     while True:
         B = rows(basis)
-        lu = scipy.linalg.lu_factor(B, check_finite=False)
-        if np.min(np.abs(np.diag(lu[0]))) <= 1e-13:
+        try:
+            inv = np.linalg.inv(B)
+        except np.linalg.LinAlgError:
             return np.zeros(d), pivots, "degenerate"
-        theta = scipy.linalg.lu_solve(lu, target[basis])
+        if np.abs(B).sum(axis=1).max() * np.abs(inv).sum(axis=1).max() >= 1e13:
+            return np.zeros(d), pivots, "degenerate"
+        theta = inv @ target[basis]
         r = target - times(theta)
         r[np.abs(r) <= tiny] = 0.0
-        tie = jitter - times(scipy.linalg.lu_solve(lu, jitter[basis]))
+        tie = jitter - times(inv @ jitter[basis])
         side = np.where(r != 0.0, np.sign(r), np.sign(tie))
         side[basis] = 0.0
         psi = np.where(side > 0.0, wpos, -wneg)
         psi[basis] = 0.0
         g = stacked_tdot(X, psi[:N].reshape(K, n))
         g[K + pen] += psi[N:]
-        u = scipy.linalg.lu_solve(lu, -g, trans=1)
+        u = -g @ inv
         # slope per unit of leaving row j's residual, by box width: to the
         # negative side wneg_j + u_j, to the positive side wpos_j - u_j
         width = wpos[basis] + wneg[basis]
@@ -229,7 +243,7 @@ def _simplex_finish(X, Y, taus, pseudo, R, beta):
             status = "maxpivots"
             break
         j, s = e % d, (1.0 if e < d else -1.0)
-        delta = times(scipy.linalg.lu_solve(lu, s * np.eye(d)[j]))
+        delta = times(s * inv[:, j])
         move = np.flatnonzero(side * delta > 0.0)
         t = r[move] / delta[move]
         ranked = np.lexsort((tie[move] / delta[move], t))

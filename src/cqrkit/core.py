@@ -12,7 +12,8 @@ fitters share, without ever forming the stacked design ``X*``:
 ``fidelity`` is the check-loss sum over (K, n) residuals, ``stacked_fit``
 the product ``X* theta``, ``stacked_tdot`` the product ``X*' V``, and
 ``stacked_gram`` the matrix ``X*' diag(D) X*`` that the MM, ADMM and
-interior-point fitters factor through ``cholesky``.
+interior-point fitters factor through ``cholesky`` and solve with
+``cho_solver``, in numpy alone.
 
 Every fitter starts from ``prepare``, which picks the columns the fit moves,
 and ends with ``Problem.result``, which reports the answer over all p.
@@ -35,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor
 
 __all__ = [
     "Dataset",
@@ -57,6 +57,7 @@ __all__ = [
     "stacked_tdot",
     "stacked_gram",
     "cholesky",
+    "cho_solver",
     "objective",
     "prepare",
 ]
@@ -415,7 +416,7 @@ def stacked_gram(X, D, cols=None):
 
 
 def cholesky(G, ridge=False):
-    """Upper Cholesky factor of ``G`` for LAPACK ``dpotrs``, and the ridge flag.
+    """Upper Cholesky factor ``U`` of ``G``, ``U'U = G``, and the ridge flag.
 
     The factor is of ``G + 1e-8 trace(G)/d I``, and the flag true, when
     ``ridge`` (a fit's earlier verdict) is set or ``G`` is singular: its
@@ -423,14 +424,25 @@ def cholesky(G, ridge=False):
     """
     if not ridge:
         try:
-            U = cho_factor(G)[0]
+            U = np.linalg.cholesky(G).T
             d = U.diagonal()
             if (d * d >= 1e-12 * G.diagonal()).all():
                 return U, False
-        except LinAlgError:
+        except np.linalg.LinAlgError:
             pass
     bump = 1e-8 * np.trace(G) / G.shape[0]
-    return cho_factor(G + bump * np.eye(G.shape[0]))[0], True
+    return np.linalg.cholesky(G + bump * np.eye(G.shape[0])).T, True
+
+
+def cho_solver(U):
+    """The solve ``rhs -> (U'U)^{-1} rhs`` of an upper factor from ``cholesky``.
+
+    ``U^{-1}`` is formed once, and each solve is the two products
+    ``U^{-1} (U^{-T} rhs)``; ``(U'U)^{-1}`` itself is never formed.
+    """
+    inv = np.linalg.inv(U)
+    # ``dot`` costs about half of ``@`` on these small operands
+    return lambda rhs: inv.dot(inv.T.dot(rhs))
 
 
 def penalty_value(beta, penalty: PenaltySpec) -> float:

@@ -45,7 +45,6 @@ iteration count unchanged.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 from .core import (
     Dataset,
@@ -53,6 +52,7 @@ from .core import (
     PenaltySpec,
     QuantileLevels,
     SolverOptions,
+    cho_solver,
     cholesky,
     prepare,
     stacked_fit,
@@ -125,9 +125,9 @@ def fit_ip(data: Dataset, levels: QuantileLevels,
     def newton_solver(G):                 # rhs -> G^+ rhs
         nonlocal singular
         if not singular:
-            factor, singular = cholesky(G)
+            U, singular = cholesky(G)
             if not singular:
-                return lambda rhs: dpotrs(factor, rhs)[0]
+                return cho_solver(U)
         return lambda rhs: np.linalg.lstsq(G, rhs, rcond=None)[0]
 
     theta = newton_solver(gram(np.ones(u.size)))(design_t(ys))  # least squares

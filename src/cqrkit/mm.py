@@ -29,7 +29,6 @@ bounded.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 from .core import (
     Dataset,
@@ -37,6 +36,7 @@ from .core import (
     PenaltySpec,
     QuantileLevels,
     SolverOptions,
+    cho_solver,
     cholesky,
     fidelity,
     prepare,
@@ -119,8 +119,8 @@ def fit_mm(data: Dataset, levels: QuantileLevels,
             curv = lam * weights[free] / (2.0 * (np.abs(theta[K:][free]) + eps))
             H[K:, K:][np.diag_indices(nf)] += curv
 
-        factor, ridge = cholesky(H, ridge)
-        sol, _ = dpotrs(factor, rhs)
+        U, ridge = cholesky(H, ridge)
+        sol = cho_solver(U)(rhs)
 
         theta_new = np.zeros(d)
         theta_new[:K] = sol[:K]

@@ -45,8 +45,11 @@ def default_lambda(n: int, p: int, n_levels: int = 1) -> float:
     The rate follows the usual sqrt(n log p) scaling; the constant and the
     linear growth in the number of levels (the fidelity term is a sum over
     levels) were calibrated on sparse-recovery runs at (n, p) = (100, 200)
-    and (200, 400) with 4 true predictors.
+    and (200, 400) with 4 true predictors.  At ``p < 2`` the rate is not
+    positive, so ``ValueError`` asks for an explicit ``lam``.
     """
+    if p < 2:
+        raise ValueError(f"no default lambda at p={p}: give lam explicitly")
     return n_levels * math.sqrt(n * math.log(p)) / 32.0
 
 

@@ -17,7 +17,13 @@ from cqrkit import (
     penalty_value,
     weighted_median,
 )
-from cqrkit.cd import _coordinate_step, _intercept_step, fit_cd
+from cqrkit.cd import (
+    _coordinate_step,
+    _identifiable,
+    _intercept_step,
+    _simplex_finish,
+    fit_cd,
+)
 from cqrkit.ip import fit_ip
 from cqrkit.pipeline import FitRequest, fit
 
@@ -397,6 +403,48 @@ def test_rank_deficient_design_never_claims_a_non_minimizer(extra):
     reached = abs(res.objective - best) <= 1e-6 * (1.0 + abs(best))
     assert res.converged
     assert reached
+
+
+def _dependent_design(kind):
+    rng = np.random.default_rng(29)
+    X = rng.normal(size=(50, 5))
+    if kind == "duplicated":
+        X[:, 3] = X[:, 1]
+    elif kind == "constant":
+        X[:, 2] = 7.0
+    elif kind == "one-hot":           # the block sums to the intercept
+        X[:, :3] = np.eye(3)[rng.integers(0, 3, size=50)]
+    elif kind == "scaled":
+        X[:, 4] *= 1e8
+    elif kind == "offset":
+        X[:, 2] += 1e6
+    return X
+
+
+@pytest.mark.parametrize("kind, cut", [("duplicated", [3]), ("constant", [2]),
+                                       ("one-hot", [2]), ("scaled", []),
+                                       ("offset", [])])
+def test_identifiable_keeps_a_unit_free_spanning_full_rank_set(kind, cut):
+    X = _dependent_design(kind)
+    keep = _identifiable(X)
+    assert np.flatnonzero(~keep).tolist() == cut
+    # beside the intercepts the kept columns have full rank, and the cut
+    # columns add none: each lies in their span
+    kept = np.column_stack([np.ones(50), X[:, keep]])
+    rank = kept.shape[1]
+    assert np.linalg.matrix_rank(kept) == rank
+    assert np.linalg.matrix_rank(np.column_stack([kept, X[:, ~keep]])) == rank
+    rescaled = X * np.logspace(-6, 8, 5)
+    np.testing.assert_array_equal(_identifiable(rescaled), keep)
+
+
+def test_simplex_finish_on_a_dependent_design_is_degenerate():
+    # a duplicated column leaves no d independent rows for a first basis
+    X = _dependent_design("duplicated")
+    Y = X[:, :3] @ [1.0, -0.8, 0.6]
+    _, pivots, status = _simplex_finish(X, Y, np.array([0.5]), np.zeros(5),
+                                        Y[None, :], np.zeros(5))
+    assert (pivots, status) == (0, "degenerate")
 
 
 def test_cd_pilot_at_70_columns_is_certified():

@@ -294,6 +294,9 @@ def test_simulate_usage_errors(tmp_path, capsys):
     # support larger than p
     rc, _ = _simulate(tmp_path, "--support", "5")
     assert rc == EXIT_USAGE
+    # no default lambda at p = 1: the message asks for --lambda's value
+    rc, _ = _simulate(tmp_path, "--support", "1", preset="qr-reg", p="1")
+    assert rc == EXIT_USAGE and "lam explicitly" in capsys.readouterr().err
     capsys.readouterr()
 
 
@@ -308,7 +311,7 @@ def test_simulate_unwritable_output_is_input_error(tmp_path, capsys):
 # ------------------------------------------------------------- entry point
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize",
-                                    "scipy.special"])
+                                    "scipy.special", "scipy"])
 def test_cli_import_leaves_scipy_stats_unloaded(module):
     # each costs a large share of every command's start-up
     proc = subprocess.run(
@@ -316,6 +319,35 @@ def test_cli_import_leaves_scipy_stats_unloaded(module):
          f"import sys, cqrkit.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, check=True, env=_child_env())
     assert proc.stdout.strip() == "False"
+
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None           # any scipy import now fails
+import numpy as np
+from cqrkit import Dataset, PenaltySpec, QuantileLevels
+from cqrkit.cli import main
+from cqrkit.pipeline import SOLVERS
+
+rng = np.random.default_rng(3)
+for n, p in ((60, 4), (30, 40)):
+    X = rng.standard_normal((n, p))
+    X[:, 3] = X[:, 0]                 # a duplicated column
+    y = 1 + X[:, :3] @ [1.0, -0.5, 0.8] + rng.standard_normal(n)
+    penalty = PenaltySpec.adaptive_lasso(0.5, np.full(p, 0.5))
+    for tag, fitter in SOLVERS.items():
+        fit = fitter(Dataset(X, y), QuantileLevels.grid(3), penalty)
+        assert np.isfinite(fit.objective), tag
+sys.exit(main(["fit", "--input", sys.argv[1], "--response", "y",
+               "--tau", "0.3", "--algorithm", "ip"]))
+"""
+
+
+def test_every_solver_and_fit_run_without_scipy(table):
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(table)],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert ResultDocument.from_json(proc.stdout).converged
 
 
 def test_module_entry_point_smoke(table):

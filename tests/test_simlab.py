@@ -162,6 +162,9 @@ def test_default_lambda_scales_with_levels():
 def test_default_lambda_formula():
     assert default_lambda(100, 200) == pytest.approx(
         np.sqrt(100 * np.log(200)) / 32)
+    for p in (0, 1):    # sqrt(n log p) is undefined or 0: ask for a lam
+        with pytest.raises(ValueError, match="lam explicitly"):
+            default_lambda(30, p)
 
 
 # ----------------------------------------------------------------- runner
