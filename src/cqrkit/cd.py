@@ -46,10 +46,11 @@ the pivot's four solves are products with that inverse; a basis is
 The finish starts from the sweep's point: the rows nearest zero that are
 linearly independent form the first basis.  Columns with zero penalty
 weight (all of them when the fit is unpenalized) are first cut to an
-identifiable set of the centered, unit-norm columns, so duplicated,
-constant and one-hot-block columns drop out whatever their units, and at
-``p >= n`` an unpenalized fit ends on an interpolating vertex.  Both
-choices are one Gram-Schmidt pass (``_independent``) in a fixed order.
+identifiable set of the centered, unit-norm columns, so duplicated
+columns and one-hot blocks drop out whatever their units (constant columns
+never get here), and at ``p >= n`` an unpenalized fit ends on an
+interpolating vertex.  Both choices are one Gram-Schmidt pass
+(``_independent``) in a fixed order.
 Degenerate vertices, with more zero residuals than parameters, would let
 pivots cycle.  A residual within roundoff of zero (``1e-11 max|y|``)
 therefore takes its side from a fixed-seed random perturbation of the
@@ -149,9 +150,9 @@ def _identifiable(X):
     """Columns of ``X`` that, beside the intercepts, have full column rank.
 
     ``_independent`` on the centered, unit-norm columns, in column order, so
-    the choice does not depend on each column's units: constant columns
-    center to zero, and of duplicated columns and of blocks that sum to a
-    constant the first columns are kept and the last one cut.
+    the choice does not depend on each column's units: a column that
+    centers to roundoff is cut, and of duplicated columns and of blocks
+    that sum to a constant the first columns are kept and the last one cut.
     """
     keep = np.zeros(X.shape[1], dtype=bool)
     Xc = X - X.mean(axis=0)

@@ -14,8 +14,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .core import ConvergenceError, QuantileLevels, SolverOptions
 from .io import (
     OPTION_NAMES,
@@ -59,16 +57,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _tau_list(text: str):
     try:
-        taus = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"malformed quantile list: {text!r}")
-    if not taus:
-        raise argparse.ArgumentTypeError("at least one quantile level required")
-    if any(not 0.0 < t < 1.0 for t in taus):
-        raise argparse.ArgumentTypeError("quantile levels must lie in (0, 1)")
-    if len(set(taus)) != len(taus):
-        raise argparse.ArgumentTypeError("quantile levels must be distinct")
-    return sorted(taus)
+        return QuantileLevels(sorted(float(part) for part in text.split(",")
+                                     if part.strip()))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _algorithm_list(text: str):
@@ -85,7 +77,7 @@ def _algorithm_list(text: str):
 
 def _positive(text: str):
     value = float(text)
-    if not value > 0 or not np.isfinite(value):
+    if not 0.0 < value < float("inf"):
         raise argparse.ArgumentTypeError(f"must be a positive real: {text!r}")
     return value
 
@@ -156,7 +148,7 @@ def cmd_fit(args) -> int:
     try:
         request = FitRequest(
             data=data,
-            levels=QuantileLevels(np.asarray(args.tau)),
+            levels=args.tau,
             algorithm=args.algorithm,
             regularized=args.lam is not None,
             lam=args.lam,
@@ -165,7 +157,7 @@ def cmd_fit(args) -> int:
     except ValueError as exc:
         _log(f"cqrkit fit: {exc}")
         return EXIT_USAGE
-    _log(f"cqrkit fit: n={data.n} p={data.p} levels={len(args.tau)} "
+    _log(f"cqrkit fit: n={data.n} p={data.p} levels={args.tau.K} "
          f"algorithm={args.algorithm}"
          + (f" lambda={args.lam}" if args.lam is not None else ""))
     try:

@@ -128,7 +128,7 @@ class Dataset:
 
 @dataclass
 class QuantileLevels:
-    """A strictly increasing grid of quantile levels in (0, 1)."""
+    """A strictly increasing grid of finite quantile levels in (0, 1)."""
 
     taus: np.ndarray
 
@@ -136,10 +136,10 @@ class QuantileLevels:
         taus = np.atleast_1d(np.asarray(self.taus, dtype=float))
         if taus.ndim != 1 or taus.size == 0:
             raise ValueError("need at least one quantile level")
-        if np.any(taus <= 0.0) or np.any(taus >= 1.0):
+        if not np.all((taus > 0.0) & (taus < 1.0)):
             raise ValueError("quantile levels must lie strictly in (0, 1)")
         if np.any(np.diff(taus) <= 0.0):
-            raise ValueError("quantile levels must be strictly increasing")
+            raise ValueError("quantile levels must be distinct and increasing")
         self.taus = taus
 
     @property
@@ -478,7 +478,7 @@ def objective(data: Dataset, intercepts, beta, levels: QuantileLevels,
 class Problem:
     """A fit's problem on the columns it moves, as ``prepare`` builds it.
 
-    ``cols`` are the columns active under the penalty and not all zero,
+    ``cols`` are the columns active under the penalty and not constant,
     ``X`` is ``data.X[:, cols]``, ``weights`` their adaptive weights, and
     ``options`` has its defaults filled in.
     """
@@ -508,10 +508,12 @@ def prepare(data: Dataset, levels: QuantileLevels,
             penalty: PenaltySpec | None = None,
             options: SolverOptions | None = None) -> Problem:
     """The ``Problem`` of a fit, unpenalized and with default options when
-    those are not given; ``ValueError`` if the pilot's length is not p."""
+    those are not given; ``ValueError`` if the pilot's length is not p.  A
+    constant column (all zero, or an intercept column of ones) is left out:
+    the intercepts absorb it, so 0 on it is optimal at any penalty."""
     penalty = PenaltySpec.none() if penalty is None else penalty
     options = SolverOptions() if options is None else options
     weights, active = penalty_terms(penalty, data.p)
-    cols = np.flatnonzero(active & data.X.any(axis=0))
+    cols = np.flatnonzero(active & (np.ptp(data.X, axis=0) > 0.0))
     return Problem(data, levels, penalty, options, cols, data.X[:, cols],
                    weights[cols])

@@ -61,9 +61,10 @@ def read_csv(path, response_column) -> Dataset:
 
     ``response_column`` selects Y by header name, or by 0-based position
     when it is an integer (or a string of digits that matches no header).
-    Every remaining column becomes a covariate, in header order.
+    Every remaining column becomes a covariate, in header order.  A UTF-8
+    byte-order mark, as spreadsheets write one, is skipped.
     """
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

@@ -8,22 +8,25 @@ the final result's diagnostics under ``"pilot"``.
 
 At ``p >= n`` the unregularized minimizer is not unique: every interpolant
 attains objective 0, so it says nothing about which coefficients matter
-(ADMM and MM would return the least-L2-norm interpolant, which shrinks
-the truth by about ``n / p``, IP the same on unit-norm columns, and CD an
-interpolating vertex).  The pilot is then a forward stepwise selection
-(forward regression, Wang 2009) stopped by a max-score test: starting from
-the intercepts alone, each step refits the unregularized model on the
-selected columns with ``pilot_algorithm`` and adds the column with the
-largest rank-score statistic
+(ADMM and MM would return the least-L2-norm interpolant on the columns of
+``core.prepare``, which shrinks the truth by about ``n / p``, IP the same
+on unit-norm columns, and CD an interpolating vertex).  The pilot is then
+a forward stepwise selection (forward regression, Wang 2009) stopped by a
+max-score test: starting from the intercepts alone, each step refits the
+unregularized model on the selected columns with ``pilot_algorithm`` and
+adds the column of ``core.prepare`` (never a constant one) with the
+largest rank-score statistic on its centered values ``c_j = x_j - mean(x_j)``
 
-    |x_j' psi| / sqrt(V * x_j' x_j),   psi_i = sum_k (tau_k - 1{r_ik < 0}),
+    |c_j' psi| / sqrt(V * c_j' c_j),   psi_i = sum_k (tau_k - 1{r_ik < 0}),
 
-while that statistic exceeds ``Phi^-1(1 - 0.1 / (2p))``.  ``V`` is the
-variance of ``psi_i`` at the true coefficients, so the threshold is the
-familywise 0.1-level Bonferroni bound on the largest null statistic, the
-pivotal level of Belloni & Chernozhukov (2011).  The pilot is the final
-refit, exactly zero off the selected columns.  ``pilot`` runs this stage
-alone, so that several final-stage fits can share one pilot.
+while that statistic exceeds ``Phi^-1(1 - 0.1 / (2p))``.  With the
+intercepts fitted ``psi`` sums to about zero, so a column's mean would only
+add to its norm.  ``V`` is the variance of ``psi_i`` at the true
+coefficients, so the threshold is the familywise 0.1-level Bonferroni
+bound on the largest null statistic, the pivotal level of Belloni &
+Chernozhukov (2011).  The pilot is the final refit, exactly zero off the
+selected columns.  ``pilot`` runs this stage alone, so that several
+final-stage fits can share one pilot.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .core import (
     PenaltySpec,
     QuantileLevels,
     SolverOptions,
+    prepare,
     sample_quantile,
 )
 from .ip import fit_ip
@@ -119,17 +123,17 @@ def _forward_pilot(request: FitRequest) -> np.ndarray:
     n, p = X.shape
     taus = request.levels.taus
     V = float(np.sum(np.minimum.outer(taus, taus) - np.outer(taus, taus)))
-    scale = np.sqrt(V * np.sum(X ** 2, axis=0))
-    scale[scale == 0.0] = np.inf          # all-zero columns never enter
+    prob = prepare(request.data, request.levels)      # the candidates
+    Xc = prob.X - prob.X.mean(axis=0)
+    scale = np.sqrt(V * np.einsum("ij,ij->j", Xc, Xc))
     threshold = -NormalDist().inv_cdf(0.05 / p)
-    selected = []
-    coefficients = np.zeros(0)
+    selected, coefficients, stat = [], np.zeros(0), np.zeros(p)
     intercepts = np.array([sample_quantile(Y, tau) for tau in taus])
     # the cap keeps every refit well overdetermined
     while len(selected) < n // 2:
         R = (Y - X[:, selected] @ coefficients)[:, None] - intercepts[None, :]
         psi = np.sum(taus[None, :] - (R < 0.0), axis=1)
-        stat = np.abs(X.T @ psi) / scale
+        stat[prob.cols] = np.abs(Xc.T @ psi) / scale
         stat[selected] = 0.0
         j = int(np.argmax(stat))
         if stat[j] <= threshold:

@@ -82,7 +82,7 @@ class SimConfig:
             self.true_support_size = self.p
         if not 0 <= self.true_support_size <= self.p:
             raise ValueError("true_support_size must lie in [0, p]")
-        if self.selection_threshold < 0:
+        if not self.selection_threshold >= 0:
             raise ValueError("selection_threshold must be nonnegative")
         if self.pilot_algorithm is not None:
             _solver(self.pilot_algorithm)

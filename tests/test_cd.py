@@ -17,6 +17,7 @@ from cqrkit import (
     penalty_value,
     weighted_median,
 )
+from cqrkit import cd
 from cqrkit.cd import (
     _coordinate_step,
     _identifiable,
@@ -367,6 +368,31 @@ def test_fit_polish_reports_vertex_status():
     info = res.diagnostics["polish"]
     assert info["status"] == "optimal"
     assert info["improvement"] >= -1e-12
+
+
+def test_fit_reports_a_finish_that_stops_short(monkeypatch):
+    # the finish's roundoff exits do not occur on test data, so one is forced
+    sweep = {}
+
+    def stopped(X, Y, taus, pseudo, R, beta):
+        sweep.update(R=R.copy(), beta=beta.copy())
+        return None, 1000, "maxpivots"
+
+    monkeypatch.setattr(cd, "_simplex_finish", stopped)
+    rng = np.random.default_rng(16)
+    X = rng.normal(size=(40, 2))
+    data = Dataset(X, X @ np.array([1.0, -1.0]) + rng.normal(size=40))
+    res = fit_cd(data, QuantileLevels.grid(3))
+    assert not res.converged
+    assert res.diagnostics["reason"] == (
+        "the simplex finish ended 'maxpivots' after 1000 pivots")
+    assert res.diagnostics["polish"]["status"] == "maxpivots"
+    # the sweep's point: its coefficients, and intercepts that match its
+    # residuals
+    np.testing.assert_array_equal(res.coefficients, sweep["beta"])
+    np.testing.assert_allclose(
+        data.Y - res.intercepts[:, None] - data.X @ res.coefficients,
+        sweep["R"], atol=1e-12)
 
 
 def _wide_problem(n, p, seed):

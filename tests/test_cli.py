@@ -201,6 +201,18 @@ def test_fit_nonconvergence_still_emits_document(table, capsys):
         assert re.search(r"within 1 iterations: " + reason, captured.err)
 
 
+def test_fit_cd_finish_stopping_short_exits_2(table, capsys, monkeypatch):
+    monkeypatch.setattr(cqrkit.cd, "_simplex_finish",
+                        lambda *args: (None, 1000, "maxpivots"))
+    rc = main(["fit", "--input", str(table), "--response", "y",
+               "--tau", "0.3", "--algorithm", "cd"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_NOT_CONVERGED
+    assert ResultDocument.from_json(captured.out).converged is False
+    assert re.search(r"iterations: the simplex finish ended 'maxpivots' "
+                     r"after 1000 pivots", captured.err)
+
+
 # -------------------------------------------------------------- cmd_simulate
 
 def _simulate(tmp_path, *extra, fmt="json", preset="qr-noreg", n="40", p="2",

@@ -453,6 +453,16 @@ def test_quantile_levels_validation():
     assert levels.K == 9
 
 
+def test_quantile_levels_must_be_finite():
+    # a NaN level fails every comparison, so each bound must hold, not
+    # merely not be broken
+    for taus in ([np.nan], [0.3, np.nan], [0.3, np.inf], [-np.inf, 0.5]):
+        with pytest.raises(ValueError, match=r"strictly in \(0, 1\)"):
+            QuantileLevels(np.array(taus))
+    with pytest.raises(ValueError, match="distinct and increasing"):
+        QuantileLevels(np.array([0.5, 0.5]))
+
+
 def test_penalty_spec_validation():
     with pytest.raises(ValueError):
         PenaltySpec(kind="ridge")

@@ -3,6 +3,8 @@
 Each design's stacked Gram matrix is exactly singular.  A solver may report
 that it did not converge, but a fit that reports convergence must be finite
 and land on the interior point's objective to criterion 1's tolerance.
+All-zero and constant columns never reach a solver: ``core.prepare``
+leaves them out, and every solver must then converge with 0 on them.
 """
 
 import numpy as np
@@ -65,6 +67,31 @@ def test_all_zero_column_is_left_out_of_every_fit(penalized, K):
     # leaves no singular Gram behind it, so neither ADMM nor MM ridges
     data = _singular_design("zero-column")
     levels = QuantileLevels.single(0.5) if K == 1 else QuantileLevels.grid(K)
+    penalty = (PenaltySpec.adaptive_lasso(1.0, np.full(data.p, 0.5))
+               if penalized else None)
+    best = SOLVERS["ip"](data, levels, penalty)
+    for tag, fitter in SOLVERS.items():
+        fit = fitter(data, levels, penalty)
+        assert fit.converged, tag
+        assert fit.coefficients[2] == 0.0, tag
+        assert not fit.diagnostics.get("ridge", False), tag
+        assert abs(fit.objective - best.objective) <= GAP_TOL * best.objective, (
+            tag, fit.objective, best.objective)
+
+
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("penalized", [False, True])
+@pytest.mark.parametrize("value", [3.0, 1.0])    # 1.0: an intercept column
+def test_constant_column_is_left_out_of_every_fit(value, penalized, K):
+    # the intercepts absorb a constant column at every level, so
+    # ``core.prepare`` leaves it out: every solver puts exactly 0 on it,
+    # even under a nonzero pilot, and no Gram is singular because of it
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((200, 4))
+    X[:, 2] = value
+    data = Dataset(X, 1 + X[:, [0, 1, 3]] @ np.array([1.0, -0.5, 0.8])
+                   + rng.standard_normal(200))
+    levels = QuantileLevels.single(0.3) if K == 1 else QuantileLevels.grid(K)
     penalty = (PenaltySpec.adaptive_lasso(1.0, np.full(data.p, 0.5))
                if penalized else None)
     best = SOLVERS["ip"](data, levels, penalty)

@@ -54,6 +54,15 @@ def test_covariates_keep_header_order(tmp_path):
     np.testing.assert_array_equal(data.X[0], [7.0, 9.0])
 
 
+def test_utf8_byte_order_mark_is_skipped(tmp_path):
+    # spreadsheets export "CSV UTF-8" with a byte-order mark
+    path = tmp_path / "table.csv"
+    path.write_text("y,x1\n1,2\n3,4\n", encoding="utf-8-sig")
+    data = read_csv(path, "y")
+    np.testing.assert_array_equal(data.Y, [1.0, 3.0])
+    np.testing.assert_array_equal(data.X, [[2.0], [4.0]])
+
+
 def test_blank_cell_names_row_and_column(tmp_path):
     path = _write(tmp_path, "a,y\n1,2\n,3\n")
     with pytest.raises(CsvParseError, match=r"row 3, column 'a'"):

@@ -226,6 +226,49 @@ def test_wide_pilot_is_forward_selected_refit(algorithm, K):
     assert list(np.flatnonzero(np.abs(reg.coefficients) > 1e-3)) == support
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_wide_pilot_selects_a_column_with_a_large_mean(seed):
+    # shifting x_0 and y by the same amount leaves the model as it is; the
+    # score statistic centers its columns, so the selection stays too
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(100, 200))
+    y = 1 + X[:, 0] + X[:, 1] + rng.normal(size=100)
+    shifted = X.copy()
+    shifted[:, 0] += 100.0
+    selected = []
+    for data in (Dataset(X, y), Dataset(shifted, y + 100.0)):
+        request = FitRequest(data, QuantileLevels.single(0.5), algorithm="ip",
+                             regularized=True, lam=1.0)
+        selected.append(list(np.flatnonzero(pilot(request))))
+    assert selected[0] == selected[1] == [0, 1]
+
+
+@pytest.mark.parametrize("K", [1, 3])
+def test_wide_pilot_never_refits_a_constant_column(K, monkeypatch):
+    # the candidates are the columns of ``core.prepare``: a constant column,
+    # an intercept column of ones included, is never selected
+    refits = []
+    fit_ip = SOLVERS["ip"]
+
+    def recorded(data, *args):
+        refits.append(data.X)
+        return fit_ip(data, *args)
+
+    monkeypatch.setitem(SOLVERS, "ip", recorded)
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(60, 120))
+    X[:, 0], X[:, 1] = 1.0, 3.0
+    support = [4, 17, 90]
+    data = Dataset(X, 0.5 + X[:, support] @ [2.0, -2.0, 1.5]
+                   + 0.5 * rng.normal(size=60))
+    levels = QuantileLevels.single(0.5) if K == 1 else QuantileLevels.grid(K)
+    coefficients = pilot(FitRequest(data, levels, algorithm="ip",
+                                    regularized=True, lam=0.5))
+    assert list(np.flatnonzero(coefficients)) == support
+    assert len(refits) == len(support)
+    assert all(np.all(np.ptp(Xs, axis=0) > 0.0) for Xs in refits)
+
+
 @pytest.mark.parametrize("algorithm, tol", [("ip", 1e-8), ("admm", 1e-6),
                                             ("mm", 1e-3)])
 @pytest.mark.parametrize("K", [1, 3])

@@ -141,6 +141,13 @@ def test_config_validates_support_and_algorithms():
                       regularized=True, lam=lam)
 
 
+def test_config_rejects_nan_selection_threshold():
+    # a NaN threshold would read every N_T and N_F as 0
+    with pytest.raises(ValueError, match="selection_threshold"):
+        SimConfig(n=10, p=2, levels=QuantileLevels.single(0.5),
+                  algorithms=("cd",), selection_threshold=np.nan)
+
+
 def test_config_defaults_dense_support_and_lambda():
     levels = QuantileLevels.single(0.5)
     cfg = SimConfig(n=100, p=20, levels=levels, algorithms=("cd",))
