@@ -46,11 +46,10 @@ the pivot's four solves are products with that inverse; a basis is
 The finish starts from the sweep's point: the rows nearest zero that are
 linearly independent form the first basis.  Columns with zero penalty
 weight (all of them when the fit is unpenalized) are first cut to an
-identifiable set of the centered, unit-norm columns, so duplicated
-columns and one-hot blocks drop out whatever their units (constant columns
-never get here), and at ``p >= n`` an unpenalized fit ends on an
-interpolating vertex.  Both choices are one Gram-Schmidt pass
-(``_independent``) in a fixed order.
+identifiable set (``core._identifiable``), as ``core.prepare`` has done
+below n columns; so at ``p >= n``, where it keeps them all, an unpenalized
+fit ends on an interpolating vertex.  Both choices are one Gram-Schmidt
+pass (``core._independent``) in a fixed order.
 Degenerate vertices, with more zero residuals than parameters, would let
 pivots cycle.  A residual within roundoff of zero (``1e-11 max|y|``)
 therefore takes its side from a fixed-seed random perturbation of the
@@ -77,6 +76,8 @@ from .core import (
     PenaltySpec,
     QuantileLevels,
     SolverOptions,
+    _identifiable,
+    _independent,
     _sample_quantile,
     _weighted_median,
     fidelity,
@@ -122,44 +123,6 @@ def _coordinate_step(R, x_m, taus, beta_m, pseudo, fid, pen):
         if new_fid + new_pen <= fid + pen:
             return cand, new_R, new_fid, new_pen
     return beta_m, R, fid, pen
-
-
-def _independent(A, tol):
-    """Indices of the rows of ``A``, in order, that are independent of the
-    rows kept before them.
-
-    Gram-Schmidt, projecting twice: a row is kept when what is left of it
-    exceeds ``tol`` times its norm.  The basis has ``min(A.shape)`` vectors,
-    and the pass stops once it is full.
-    """
-    Q = np.zeros((A.shape[1], min(A.shape)))
-    kept = []
-    for i, a in enumerate(A):
-        w = a - Q @ (Q.T @ a)
-        w -= Q @ (Q.T @ w)
-        size = np.linalg.norm(w)
-        if size > tol * np.linalg.norm(a):
-            Q[:, len(kept)] = w / size
-            kept.append(i)
-            if len(kept) == Q.shape[1]:
-                break
-    return np.array(kept, dtype=int)
-
-
-def _identifiable(X):
-    """Columns of ``X`` that, beside the intercepts, have full column rank.
-
-    ``_independent`` on the centered, unit-norm columns, in column order, so
-    the choice does not depend on each column's units: a column that
-    centers to roundoff is cut, and of duplicated columns and of blocks
-    that sum to a constant the first columns are kept and the last one cut.
-    """
-    keep = np.zeros(X.shape[1], dtype=bool)
-    Xc = X - X.mean(axis=0)
-    norms = np.linalg.norm(Xc, axis=0)
-    live = np.flatnonzero(norms > 1e-12 * np.linalg.norm(X, axis=0))
-    keep[live[_independent((Xc[:, live] / norms[live]).T, 1e-9)]] = True
-    return keep
 
 
 def _simplex_finish(X, Y, taus, pseudo, R, beta):
@@ -305,10 +268,8 @@ def fit_cd(data: Dataset, levels: QuantileLevels,
 
     # zero-weight columns (all of them when unpenalized) are cut to a set
     # the data identify; a positive weight's row e_j identifies its column
-    keep = np.ones(p, dtype=bool)
-    free = pseudo == 0.0
-    if np.any(free):
-        keep[free] = _identifiable(X[:, free])
+    keep = pseudo > 0.0
+    keep[~keep] = _identifiable(X[:, ~keep])
     theta, pivots, status = _simplex_finish(X[:, keep], Y, taus, pseudo[keep],
                                             R, beta[keep])
     polish_info = {"pivots": pivots, "status": status, "improvement": 0.0}

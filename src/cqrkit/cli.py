@@ -139,7 +139,7 @@ def _emit(payload: str, output) -> None:
 def cmd_fit(args) -> int:
     try:
         data = read_csv(args.input, args.response)
-    except (OSError, CsvParseError) as exc:
+    except (OSError, CsvParseError, UnicodeDecodeError) as exc:
         _log(f"cqrkit fit: {exc}")
         return EXIT_INPUT
 

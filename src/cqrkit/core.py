@@ -280,8 +280,8 @@ def soft_threshold(v, a):
 
 
 def _soft_threshold(v, a):
-    """``soft_threshold`` without validation, for the solvers' inner loops."""
-    return np.sign(v) * np.maximum(np.abs(v) - a, 0.0)
+    """``soft_threshold`` without validation; a thresholded value is +0.0."""
+    return v - np.clip(v, -a, a)
 
 
 def weighted_median(z, w):
@@ -339,10 +339,10 @@ def _sample_quantile(v, tau):
     return float(np.partition(v, m - 1)[m - 1])
 
 
-def adaptive_weights(pilot, floor: float = PILOT_FLOOR):
+def adaptive_weights(pilot):
     """Adaptive-lasso weights ``1 / pilot**2`` with tiny pilots marked inactive.
 
-    Returns ``(weights, active)``.  Coordinates with ``|pilot| < floor`` get
+    Returns ``(weights, active)``.  Coordinates with ``|pilot| < PILOT_FLOOR`` get
     ``active = False`` and weight 0: downstream solvers pin them at zero
     instead of working with a near-infinite weight.
     """
@@ -351,10 +351,7 @@ def adaptive_weights(pilot, floor: float = PILOT_FLOOR):
         raise ValueError("pilot must be a 1-D vector")
     if not np.all(np.isfinite(pilot)):
         raise ValueError("pilot must be finite")
-    floor = float(floor)
-    if floor <= 0.0:
-        raise ValueError("floor must be positive")
-    active = np.abs(pilot) >= floor
+    active = np.abs(pilot) >= PILOT_FLOOR
     weights = np.zeros(pilot.shape)
     weights[active] = 1.0 / pilot[active] ** 2
     return weights, active
@@ -419,9 +416,9 @@ def cholesky(G, ridge=False):
     """Upper Cholesky factor ``U`` of ``G``, ``U'U = G``, and the ridge flag.
 
     The factor is of ``G + 1e-8 trace(G)/d I``, and the flag true, when
-    ``ridge`` (a fit's earlier verdict) is set or ``G`` is singular: its
-    factorization fails or a pivot is roundoff, ``U_jj^2 < 1e-12 G_jj``.
-    """
+    ``ridge`` (a fit's earlier verdict) is set or ``G`` is singular (after
+    ``prepare``, at p >= n): its factorization fails or a pivot is roundoff,
+    ``U_jj^2 < 1e-12 G_jj``."""
     if not ridge:
         try:
             U = np.linalg.cholesky(G).T
@@ -474,13 +471,49 @@ def objective(data: Dataset, intercepts, beta, levels: QuantileLevels,
     return fidelity(R, levels.taus) + penalty_value(beta, penalty)
 
 
+def _independent(A, tol):
+    """Indices of the rows of ``A``, in order, that are independent of the
+    rows kept before them.
+
+    Gram-Schmidt, projecting twice: a row is kept when what is left of it
+    exceeds ``tol`` times its norm.  The basis has ``min(A.shape)`` vectors,
+    and the pass stops once it is full.
+    """
+    Q = np.zeros((A.shape[1], min(A.shape)))
+    kept = []
+    for i, a in enumerate(A):
+        w = a - Q @ (Q.T @ a)
+        w -= Q @ (Q.T @ w)
+        size = np.linalg.norm(w)
+        if size > tol * np.linalg.norm(a):
+            Q[:, len(kept)] = w / size
+            kept.append(i)
+            if len(kept) == Q.shape[1]:
+                break
+    return np.array(kept, dtype=int)
+
+
+def _identifiable(X):
+    """Columns of ``X`` that, beside the intercepts, have full column rank.
+
+    ``_independent`` on the centered, unit-norm columns, in column order,
+    whatever their units: a column that centers to roundoff is cut, and of
+    duplicates or a block summing to a constant, the last column is cut."""
+    keep = np.zeros(X.shape[1], dtype=bool)
+    Xc = X - X.mean(axis=0)
+    norms = np.linalg.norm(Xc, axis=0)
+    live = np.flatnonzero(norms > 1e-12 * np.linalg.norm(X, axis=0))
+    keep[live[_independent((Xc[:, live] / norms[live]).T, 1e-9)]] = True
+    return keep
+
+
 @dataclass
 class Problem:
     """A fit's problem on the columns it moves, as ``prepare`` builds it.
 
-    ``cols`` are the columns active under the penalty and not constant,
-    ``X`` is ``data.X[:, cols]``, ``weights`` their adaptive weights, and
-    ``options`` has its defaults filled in.
+    ``cols`` are the columns active under the penalty, not constant, and
+    identifiable (``prepare``), ``X`` is ``data.X[:, cols]``, ``weights``
+    their adaptive weights, and ``options`` has its defaults filled in.
     """
 
     data: Dataset
@@ -510,10 +543,15 @@ def prepare(data: Dataset, levels: QuantileLevels,
     """The ``Problem`` of a fit, unpenalized and with default options when
     those are not given; ``ValueError`` if the pilot's length is not p.  A
     constant column (all zero, or an intercept column of ones) is left out:
-    the intercepts absorb it, so 0 on it is optimal at any penalty."""
+    the intercepts absorb it, so 0 on it is optimal at any penalty.  Below n
+    columns, the zero-weight ones (all, unpenalized) are cut to their
+    ``_identifiable`` set, which spans the rest: 0 on those is optimal too."""
     penalty = PenaltySpec.none() if penalty is None else penalty
     options = SolverOptions() if options is None else options
     weights, active = penalty_terms(penalty, data.p)
     cols = np.flatnonzero(active & (np.ptp(data.X, axis=0) > 0.0))
+    free = cols[penalty.lam * weights[cols] == 0.0]
+    if free.size and cols.size < data.n:
+        cols = np.setdiff1d(cols, free[~_identifiable(data.X[:, free])])
     return Problem(data, levels, penalty, options, cols, data.X[:, cols],
                    weights[cols])

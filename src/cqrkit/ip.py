@@ -19,12 +19,12 @@ The program is solved on unit-norm columns of ``X``.  Each iteration
 factors one (K + p)-square Newton matrix ``X*' diag(q) X*``, assembled
 blockwise from ``X`` by ``core.stacked_gram``, and reuses it for the
 predictor and the corrector, by ``core.cholesky``.  From the first one it
-judges singular (p >= n, duplicated columns, a one-hot block beside the
-intercepts), each step is the minimum-norm least-squares solution of the
-same system.  Its right-hand side lies in the range of the matrix, so that
-step solves the system exactly, and every step stays in the row space of
-the scaled ``X*``: at p >= n the fit is the least-L2-norm interpolant on
-the unit-norm columns, as the least-squares start is, and it moves exactly
+judges singular (p >= n: below n, ``core.prepare`` cuts dependent columns),
+each step is the minimum-norm least-squares solution of the same system.
+Its right-hand side lies in the range of the matrix, so that step solves
+the system exactly, and every step stays in the row space of the scaled
+``X*``: at p >= n the fit is the least-L2-norm interpolant on the
+unit-norm columns, as the least-squares start is, and it moves exactly
 with a rescaling of the columns.
 
 The adaptive lasso enters as rows (quantreg's ``rq.fit.lasso``): each

@@ -4,7 +4,8 @@ two-stage adaptive-lasso pipeline (pilot fit -> weights -> penalized fit).
 At ``p < n`` the pilot estimate is the unregularized solution produced by
 ``pilot_algorithm`` (by default the same solver as the final stage); its
 coefficients become the adaptive weights ``1 / pilot_j**2`` and are kept in
-the final result's diagnostics under ``"pilot"``.
+the final result's diagnostics under ``"pilot"``.  A column that
+``core.prepare`` cuts as dependent has pilot 0, so no final fit moves it.
 
 At ``p >= n`` the unregularized minimizer is not unique: every interpolant
 attains objective 0, so it says nothing about which coefficients matter

@@ -193,7 +193,8 @@ def majorizer_value(r, r_prev, tau, eps):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def admm_reference(data: Dataset, levels: QuantileLevels, penalty, options):
+def admm_reference(data: Dataset, levels: QuantileLevels, penalty, options,
+                   cols=None):
     """``fit_admm``'s iteration in its unclipped form, every quantity every time.
 
     A plain transcription of the ADMM loop over the data rows and the
@@ -204,8 +205,9 @@ def admm_reference(data: Dataset, levels: QuantileLevels, penalty, options):
     dual residuals, ``A' u``, both tolerances and both norms
     (``np.linalg.norm``) from full arrays on every iteration.  It solves
     with ``cho_solve`` on ``G + diag(0_K, s^2)``, the Gram of the live
-    columns (all of them when unpenalized).  Returns a dict of the final
-    iterate (``theta`` over all K + p coordinates), the reported
+    columns (all of them when unpenalized, or those of ``cols``).  Returns a
+    dict of the final iterate (``theta`` over all K + p coordinates, 0 on
+    the columns ``cols`` leaves out), the reported
     ``coefficients`` (``gamma_j / s_j`` on the penalty rows), the penalty
     rows' ``gamma``, ``v`` and ``gamma_prev``, the four stopping figures,
     ``iterations``, ``converged`` and ``ridge``.
@@ -214,7 +216,7 @@ def admm_reference(data: Dataset, levels: QuantileLevels, penalty, options):
     n, p, K = data.n, data.p, levels.K
     rho, d = options.rho, K + p
     weights, active = penalty_terms(penalty, p)
-    cols = np.arange(p)
+    cols = np.arange(p) if cols is None else np.asarray(cols)
     s = np.zeros(0)
     if penalty.regularized:
         cols = np.flatnonzero(active & (np.abs(X).sum(axis=0) > 0.0))

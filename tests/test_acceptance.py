@@ -290,7 +290,7 @@ def _admm_stopping_holds(data, levels, opts, pilot, state):
     """Recompute the primal/dual residual test from the returned state.
 
     A penalized fit (``pilot`` given) has one penalty row ``-s_j e_j'`` per
-    active, nonzero column, ``s_j`` its centered norm (1 where that is 0),
+    active, nonconstant column, ``s_j`` its centered norm (1 where that is 0),
     recomputed here from the data and the pilot.
     """
     X, Y = data.X, data.Y
@@ -304,7 +304,7 @@ def _admm_stopping_holds(data, levels, opts, pilot, state):
     cols = np.zeros(0, dtype=int)
     if pilot is not None:
         _, active = adaptive_weights(pilot)
-        cols = np.flatnonzero(active & np.any(X != 0.0, axis=0))
+        cols = np.flatnonzero(active & (np.ptp(X, axis=0) > 0.0))
     Xc = X[:, cols] - X[:, cols].mean(axis=0)
     s = np.sqrt(np.sum(Xc ** 2, axis=0))
     s[s == 0.0] = 1.0

@@ -188,13 +188,13 @@ def test_first_iteration_matches_stacked_formulas():
 
 def _penalty_rows(data, levels, penalty):
     """The penalty rows ``-s_j e_j'`` of the stacked design, from the data
-    and the pilot: one per active, nonzero column, ``s_j`` its centered
+    and the pilot: one per active, nonconstant column, ``s_j`` its centered
     norm (1 where that is 0).  Returns an (m, K + p) array."""
     K, p = levels.K, data.p
     if penalty is None or not penalty.regularized:
         return np.zeros((0, K + p))
     _, active = penalty_terms(penalty, p)
-    cols = [j for j in range(p) if active[j] and np.any(data.X[:, j] != 0.0)]
+    cols = [j for j in range(p) if active[j] and np.ptp(data.X[:, j]) > 0.0]
     rows = np.zeros((len(cols), K + p))
     for i, j in enumerate(cols):
         s = np.linalg.norm(data.X[:, j] - np.mean(data.X[:, j]))
@@ -227,20 +227,28 @@ def _direct_stopping(state, data, levels, opts, penalty=None):
 
 @pytest.mark.parametrize("penalized", [False, True])
 def test_admm_stopping_matches_direct_recomputation(penalized):
-    # the loop's blockwise rule, read back from fits stopped early and late
+    # the loop's blockwise rule, read back from fits stopped early and late,
+    # also on a design whose constant column 1 has no penalty row
     rng = np.random.default_rng(23)
     data = Dataset(rng.standard_normal((9, 3)), rng.standard_normal(9))
     levels = QuantileLevels(np.array([0.2, 0.8]))
     pen = PenaltySpec.adaptive_lasso(0.5, rng.standard_normal(3) + 1.5) if penalized else None
-    for max_iter in (1, 5, 50, 5000):
-        opts = SolverOptions(max_iter=max_iter)
-        res = fit_admm(data, levels, pen, opts)
-        stop, ep, ed = _direct_stopping(res.diagnostics["state"], data, levels,
-                                        opts, pen)
-        assert stop == res.converged
-        assert ep == pytest.approx(res.diagnostics["eps_primal"], rel=1e-12)
-        assert ed == pytest.approx(res.diagnostics["eps_dual"], rel=1e-12)
-    assert res.converged
+    rng = np.random.default_rng(23)
+    X = rng.standard_normal((40, 3))
+    X[:, 1] = 3.0
+    constant = Dataset(X, rng.standard_normal(40))
+    constant_pen = (PenaltySpec.adaptive_lasso(0.5, np.array([1.2, 0.8, 1.5]))
+                    if penalized else None)
+    for data, pen in ((data, pen), (constant, constant_pen)):
+        for max_iter in (1, 5, 50, 5000):
+            opts = SolverOptions(max_iter=max_iter)
+            res = fit_admm(data, levels, pen, opts)
+            stop, ep, ed = _direct_stopping(res.diagnostics["state"], data,
+                                            levels, opts, pen)
+            assert stop == res.converged
+            assert ep == pytest.approx(res.diagnostics["eps_primal"], rel=1e-12)
+            assert ed == pytest.approx(res.diagnostics["eps_dual"], rel=1e-12)
+        assert res.converged
 
 
 def test_converged_fit_passes_its_own_stopping_rule():
@@ -299,12 +307,14 @@ def test_fit_matches_reference_loop_byte_for_byte(shape, penalized, max_iter):
     # from full arrays on every iteration: the counts and flags match
     # exactly (the test id keeps its older name), the iterate, the penalty
     # rows and the four stopping figures to roundoff.  The ridged
-    # unpenalized shapes get 1e-6: the 1e-8 ridge magnifies roundoff in the
-    # Gram's near-null directions (measured 4.6e-8 and 9.0e-9)
+    # unpenalized shape (wide) gets 1e-6: the 1e-8 ridge magnifies roundoff
+    # in the Gram's near-null directions (measured 4.6e-8 and 9.0e-9).  The
+    # unpenalized dup shape moves columns 0 and 1 only: column 2 repeats 0
     data, levels, pen = _bytes_case(shape, penalized)
     opts = SolverOptions(max_iter=max_iter)
     res = fit_admm(data, levels, pen, opts)
-    ref = admm_reference(data, levels, pen, opts)
+    cols = [0, 1] if shape == "dup" and not penalized else None
+    ref = admm_reference(data, levels, pen, opts, cols)
     K = levels.K
     state = res.diagnostics["state"]
     assert res.iterations == ref["iterations"] == state.iteration
@@ -322,8 +332,10 @@ def test_fit_matches_reference_loop_byte_for_byte(shape, penalized, max_iter):
     for norm, eps in (("primal_norm", "eps_primal"), ("dual_norm", "eps_dual")):
         assert res.diagnostics[eps] == pytest.approx(ref[eps], rel=1e-12)
         assert abs(res.diagnostics[norm] - ref[norm]) <= 1e-9 * ref[eps]
-    if shape in ("wide", "dup") and not penalized:
+    if shape == "wide" and not penalized:
         assert res.diagnostics["ridge"]
+    if shape == "dup" and not penalized:
+        assert not res.diagnostics["ridge"] and res.coefficients[2] == 0.0
 
 
 @pytest.mark.parametrize("levels", [QuantileLevels.single(0.3),

@@ -136,6 +136,18 @@ def test_fit_malformed_csv_is_input_error(tmp_path, capsys):
     assert "row 2" in err and "'y'" in err
 
 
+def test_fit_csv_that_is_not_utf8_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"y,x\xe9\n1,2\n3,4\n")
+    rc = main(["fit", "--input", str(path), "--response", "y",
+               "--tau", "0.3", "--algorithm", "cd"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err.startswith("cqrkit fit: ") and "utf-8" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_fit_non_finite_csv_is_input_error(tmp_path, capsys):
     path = tmp_path / "nan.csv"
     path.write_text("a,y\n1,2\nnan,3\n")

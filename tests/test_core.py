@@ -304,8 +304,6 @@ def test_adaptive_weights_errors():
         adaptive_weights(np.array([[1.0]]))
     with pytest.raises(ValueError):
         adaptive_weights(np.array([np.nan]))
-    with pytest.raises(ValueError):
-        adaptive_weights(np.array([1.0]), floor=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,13 @@ that it did not converge, but a fit that reports convergence must be finite
 and land on the interior point's objective to criterion 1's tolerance.
 All-zero and constant columns never reach a solver: ``core.prepare``
 leaves them out, and every solver must then converge with 0 on them.
+Below n columns it also cuts an unpenalized fit's dependent columns, so
+every solver converges there with 0 on the same cut column.
 """
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from cqrkit import Dataset, PenaltySpec, QuantileLevels
 from cqrkit.pipeline import SOLVERS
@@ -57,6 +60,37 @@ def test_converged_fits_on_singular_designs_reach_the_optimum(name, K):
         assert np.all(np.isfinite(fit.coefficients)), tag
         assert abs(fit.objective - best.objective) <= tol, (
             tag, fit.objective, best.objective)
+
+
+#: the column ``core.prepare`` cuts from each dependent design, the last of
+#: its dependent set
+CUT = {"duplicated-column": 3, "linear-combination": 3, "one-hot-block": 2}
+
+
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("name", sorted(CUT))
+def test_dependent_columns_are_cut_alike_in_every_fit(name, K):
+    # below n columns no solver meets the singular Gram: none ridges, and
+    # all four put exactly 0 on the same cut column and nowhere else
+    data = _singular_design(name)
+    levels = QuantileLevels.single(0.5) if K == 1 else QuantileLevels.grid(K)
+    fits = {tag: fitter(data, levels) for tag, fitter in SOLVERS.items()}
+    cd, ip = fits["cd"], fits["ip"]
+    for tag, fit in fits.items():
+        assert fit.converged, tag
+        assert not fit.diagnostics.get("ridge", False), tag
+        assert list(np.flatnonzero(fit.coefficients == 0.0)) == [CUT[name]], tag
+        assert abs(fit.objective - ip.objective) <= GAP_TOL * ip.objective, (
+            tag, fit.objective, ip.objective)
+    # the two exact solvers reach one optimum with one set of coefficients.
+    # At these levels each one-hot group's quantile is not unique, so there
+    # the block's coefficients, like the intercepts, may differ: CD ends on
+    # a vertex of the optimal face, IP inside it
+    assert cd.objective == pytest.approx(ip.objective, rel=1e-8)
+    block = [0, 1, 2] if name == "one-hot-block" else []
+    unique = np.setdiff1d(np.arange(data.p), block)
+    assert_allclose(cd.coefficients[unique], ip.coefficients[unique],
+                    rtol=0.0, atol=1e-8)
 
 
 @pytest.mark.parametrize("K", [1, 3])

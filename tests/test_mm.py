@@ -234,16 +234,32 @@ def test_rank_deficient_design_uses_ridge():
     assert res.diagnostics["ridge"]
 
 
-def test_one_hot_block_takes_the_ridge_without_warnings():
-    # a one-hot block beside the intercept makes the majorizer Hessian
-    # singular; the ridge factorization solves it without LinAlgWarning
+def _one_hot_fit(n, p):
+    """MM at tau 0.3 on an n x p design whose columns 0-2 are a one-hot
+    block, with every warning raised as an error."""
     rng = np.random.default_rng(0)
-    X = rng.standard_normal((200, 6))
-    X[:, :3] = np.eye(3)[rng.integers(0, 3, 200)]
-    Y = 1.0 + X[:, :4] @ rng.uniform(-1, 1, 4) + rng.standard_normal(200)
+    X = rng.standard_normal((n, p))
+    X[:, :3] = np.eye(3)[rng.integers(0, 3, n)]
+    Y = 1.0 + X[:, :4] @ rng.uniform(-1, 1, 4) + rng.standard_normal(n)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = fit_mm(Dataset(X, Y), QuantileLevels.single(0.3))
+        return fit_mm(Dataset(X, Y), QuantileLevels.single(0.3))
+
+
+def test_one_hot_block_takes_the_ridge_without_warnings():
+    # at p >= n a one-hot block beside the intercept keeps the majorizer
+    # Hessian singular; the ridge factorization solves it without warnings
+    res = _one_hot_fit(30, 40)
     assert res.converged
     assert res.diagnostics["ridge"]
-    assert res.iterations == 162
+    assert res.iterations == 10
+
+
+def test_one_hot_block_below_n_is_cut_without_the_ridge():
+    # below n columns ``core.prepare`` cuts the block's last column, so the
+    # Hessian is not singular and MM puts exactly 0 there
+    res = _one_hot_fit(200, 6)
+    assert res.converged
+    assert not res.diagnostics["ridge"]
+    assert res.coefficients[2] == 0.0
+    assert res.iterations == 166

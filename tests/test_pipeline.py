@@ -134,6 +134,23 @@ def test_zero_pilot_coordinate_pins_final_coefficient():
         assert reg.coefficients[2] == 0.0
 
 
+def test_dependent_column_is_cut_from_every_two_stage_fit():
+    # at p < n the pilot is the unpenalized fit, from which ``core.prepare``
+    # cuts column 3, a copy of column 0: its pilot is exactly 0, and no
+    # final fit brings it back, whichever solver fits the two stages
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(60, 4))
+    X[:, 3] = X[:, 0]
+    data = Dataset(X, 1.0 + X[:, 0] - 0.5 * X[:, 1] + 0.3 * rng.normal(size=60))
+    levels = QuantileLevels.single(0.5)
+    for algorithm in ALGOS:
+        reg = fit(FitRequest(data, levels, algorithm=algorithm,
+                             regularized=True, lam=0.3))
+        assert reg.converged, algorithm
+        assert reg.diagnostics["pilot"][3] == 0.0, algorithm
+        assert reg.coefficients[3] == 0.0, algorithm
+
+
 def test_separate_pilot_algorithm_used():
     data = _gaussian(40, 3, 19)
     levels = QuantileLevels.single(0.3)
@@ -315,6 +332,20 @@ def test_four_backends_agree_on_shared_request():
             assert np.max(np.abs(a.coefficients - b.coefficients)) <= 5e-2, \
                 (tags[i], tags[j])
             assert abs(a.objective - b.objective) <= 1e-2, (tags[i], tags[j])
+
+
+def test_no_penalized_coefficient_is_a_negative_zero():
+    # a coefficient the penalty sets to zero is +0.0 in every solver, so
+    # documents print 0.0; ADMM's soft threshold once left -0.0 there
+    data = _gaussian(200, 12, 12, beta=np.r_[1.0, -0.8, 0.6, np.zeros(9)])
+    levels = QuantileLevels.single(0.3)
+    pilot = SOLVERS["ip"](data, levels).coefficients
+    penalty = PenaltySpec.adaptive_lasso(4.0, pilot)
+    for tag, fitter in SOLVERS.items():
+        coefficients = fitter(data, levels, penalty).coefficients
+        zeros = coefficients == 0.0
+        assert not np.any(np.signbit(coefficients[zeros])), tag
+        assert tag == "ip" or zeros.sum() >= 5, tag
 
 
 # ------------------------------------------------------------------ invariants
