@@ -7,11 +7,11 @@ The problem
 
 is solved by ADMM in the scaled form of Boyd et al. (2011) on the stacked
 design ``A`` with response ``b`` and residuals ``r = b - A theta`` (``theta``
-= intercepts then coefficients).  ``A`` is ``X*`` with ``Y*``, plus, as in
-``ip.py``, one row ``-s_j e_j'`` with response 0 per live penalized column
-j: its residual ``gamma_j = s_j theta_j`` carries the loss
-``lam w_j |gamma_j| / s_j``, with ``s_j`` the centered norm of column j (1
-where that is 0).  So every fit is an unpenalized one over ``nK + m`` rows:
+= intercepts then coefficients).  ``A`` is ``X*`` on the columns of
+``core.prepare`` (centered; the rest raw) with ``Y*``, plus one row ``-s_j
+e_j'`` with response 0 per live penalized column j, ``s_j`` its ``scale``:
+the residual ``gamma_j = s_j theta_j`` carries ``lam w_j |gamma_j| / s_j``.
+So every fit is an unpenalized one over ``nK + m`` rows:
 
     r-update      r <- prox at c = b - A theta + u/rho: r = c - z with
                   z = clip(c, (tau - 1)/rho, tau/rho) on the data rows and
@@ -74,7 +74,8 @@ __all__ = ["AdmmState", "fit_admm"]
 
 @dataclass
 class AdmmState:
-    """Internal iterate of the ADMM loop, in stacked (level-major) layout.
+    """Internal iterate of the ADMM loop, in stacked (level-major) layout
+    and in the columns of ``core.prepare`` (the live ones centered).
 
     ``beta`` holds the K intercepts followed by the p coefficients of the
     iterate ``theta``; ``r`` and ``u`` are the stacked residual and
@@ -108,10 +109,11 @@ def fit_admm(data: Dataset, levels: QuantileLevels,
     residual against its tolerance.
     """
     prob = prepare(data, levels, penalty, options)
-    opts, cols, X_live = prob.options, prob.cols, prob.X
-    X, Y, taus, rho = data.X, data.Y, levels.taus, opts.rho
-    n, K = data.n, levels.K
-    d = K + data.p
+    opts, cols, X_live, s = prob.options, prob.cols, prob.X, prob.scale
+    Y, taus, rho = data.Y, levels.taus, opts.rho
+    n, K, d = data.n, levels.K, levels.K + data.p
+    X = data.X.copy()                     # the live columns prepared, the
+    X[:, cols] = X_live                   # rest raw (the stopping display)
 
     # live coordinates: the intercepts and the columns of ``prepare``; the
     # rest of theta stays at its zero start
@@ -120,8 +122,6 @@ def fit_admm(data: Dataset, levels: QuantileLevels,
     H = G_live[live]                                     # G[live, live]
     m = cols.size if prob.penalty.regularized else 0     # penalty rows
     if m:
-        s = np.linalg.norm(X_live - X_live.mean(axis=0), axis=0)
-        s[s == 0.0] = 1.0
         H[K:, K:][np.diag_indices(m)] += s * s
         pen = K + cols                                   # their coordinates
         thresh = prob.penalty.lam * prob.weights / (rho * s)

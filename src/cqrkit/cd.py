@@ -19,37 +19,35 @@ makes every sweep provably monotone.
 Intercepts are exact one-dimensional minimizers: ``b_k`` is the level-
 ``tau_k`` sample quantile of ``y_i - x_i' beta``.
 
-A sweep updates all intercepts, then the coefficients of the columns of
-``core.prepare`` in ascending order (the rest stay at zero); sweeps repeat
-until the largest parameter change drops under ``tol``.  The sweep keeps
-the (K, n) residuals ``r_ik = y_i - b_k - x_i' beta`` in the level-major
-layout of ``core`` and returns them in ``diagnostics["residuals"]``.
+A sweep updates all intercepts, then the coefficients of the centered
+columns of ``core.prepare`` in ascending order (the rest stay at zero);
+sweeps repeat until the largest parameter change drops under ``tol``.  The
+sweep keeps the (K, n) residuals ``r_ik = y_i - b_k - x_i' beta`` in the
+level-major layout of ``core`` and returns them in
+``diagnostics["residuals"]``.
 
-Cyclic sweeps alone routinely terminate at coordinatewise-minimal points
-that are not global minima (the objective is piecewise linear, so descent
-can require moving two or more parameters at once; empirically this bites
-on most small Gaussian instances, not just adversarial ones).  After the
-sweeps settle, ``fit_cd`` therefore finishes with a reduced-cost simplex
-(Barrodale & Roberts 1973; Koenker & d'Orey 1987) on the equivalent
-polyhedral program, at every problem size.  Its rows are the (K, n) data
-rows plus one row ``e_j`` for each column with a positive penalty weight
-``pseudo_j``; the stacked design is never formed.  At a vertex with basis
-rows ``B`` the multipliers are ``u = -B'^{-1} A_N' psi_N``, where ``psi``
-is the check-loss slope of each nonbasic row (``core.stacked_tdot``); a
-multiplier outside its box names a descending edge, and the step along it
-is a weighted-median search over the breakpoints of ``A v``
-(``core.stacked_fit``).  The basis is inverted afresh at every pivot, and
-the pivot's four solves are products with that inverse; a basis is
-``degenerate`` when it is singular or its condition number
-``||B||_inf ||B^{-1}||_inf`` reaches 1e13.
+Cyclic sweeps alone routinely stop at coordinatewise-minimal points that
+are not global minima (descent on a piecewise-linear objective can need two
+or more parameters moved at once, on most small Gaussian instances).  So
+``fit_cd`` finishes with a reduced-cost simplex (Barrodale & Roberts 1973;
+Koenker & d'Orey 1987) on the equivalent polyhedral program, at every
+problem size.  Its rows are the (K, n) data rows plus one row ``e_j`` for
+each column with a positive penalty weight ``pseudo_j``; the stacked design
+is never formed.  At a vertex with basis rows ``B`` the multipliers are
+``u = -B'^{-1} A_N' psi_N``, where ``psi`` is the check-loss slope of each
+nonbasic row (``core.stacked_tdot``); a multiplier outside its box names a
+descending edge, and the step along it is a weighted-median search over
+the breakpoints of ``A v`` (``core.stacked_fit``).  The basis is inverted
+afresh at every pivot, and the pivot's four solves are products with that
+inverse; a basis is ``degenerate`` when it is singular or its condition
+number ``||B||_inf ||B^{-1}||_inf`` reaches 1e13.
 
 The finish starts from the sweep's point: the rows nearest zero that are
-linearly independent form the first basis.  Columns with zero penalty
-weight (all of them when the fit is unpenalized) are first cut to an
+linearly independent (``core._independent``) form the first basis.  Columns
+with zero penalty weight (all, unpenalized) are first cut to an
 identifiable set (``core._identifiable``), as ``core.prepare`` has done
 below n columns; so at ``p >= n``, where it keeps them all, an unpenalized
-fit ends on an interpolating vertex.  Both choices are one Gram-Schmidt
-pass (``core._independent``) in a fixed order.
+fit ends on an interpolating vertex.
 Degenerate vertices, with more zero residuals than parameters, would let
 pivots cycle.  A residual within roundoff of zero (``1e-11 max|y|``)
 therefore takes its side from a fixed-seed random perturbation of the

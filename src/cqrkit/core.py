@@ -1,22 +1,18 @@
 """Shared types and primitives for quantile regression solvers.
 
-Everything downstream (the ADMM / MM / coordinate-descent / interior-point
-fitters, the two-stage adaptive pipeline, the simulation harness) speaks the
-small vocabulary defined here: a dataset, a grid of quantile levels, a penalty
-description, solver options, and a handful of numerical primitives (check
-loss, soft threshold, weighted median, adaptive weights and the penalty terms
-of a fit).
+The four fitters, the two-stage pipeline and the simulation harness share
+the vocabulary defined here: a dataset, quantile levels, a penalty, solver
+options, and numerical primitives (check loss, soft threshold, weighted
+median, adaptive weights and the penalty terms of a fit).
 
-It also holds the composite problem in the level-major layout that all four
-fitters share, without ever forming the stacked design ``X*``:
-``fidelity`` is the check-loss sum over (K, n) residuals, ``stacked_fit``
-the product ``X* theta``, ``stacked_tdot`` the product ``X*' V``, and
-``stacked_gram`` the matrix ``X*' diag(D) X*`` that the MM, ADMM and
-interior-point fitters factor through ``cholesky`` and solve with
-``cho_solver``, in numpy alone.
-
-Every fitter starts from ``prepare``, which picks the columns the fit moves,
-and ends with ``Problem.result``, which reports the answer over all p.
+It also holds the composite problem in its level-major layout, without
+ever forming the stacked design ``X*``: ``fidelity`` is the check-loss sum
+over (K, n) residuals, ``stacked_fit`` the product ``X* theta``,
+``stacked_tdot`` the product ``X*' V``, and ``stacked_gram`` the matrix
+``X*' diag(D) X*`` that MM, ADMM and IP factor through ``cholesky`` and
+solve with ``cho_solver``.  Every fitter starts from ``prepare``, which
+picks and centers the columns the fit moves, and ends with
+``Problem.result``, which maps the answer back to the raw columns.
 
 Conventions
 -----------
@@ -472,13 +468,10 @@ def objective(data: Dataset, intercepts, beta, levels: QuantileLevels,
 
 
 def _independent(A, tol):
-    """Indices of the rows of ``A``, in order, that are independent of the
-    rows kept before them.
-
-    Gram-Schmidt, projecting twice: a row is kept when what is left of it
-    exceeds ``tol`` times its norm.  The basis has ``min(A.shape)`` vectors,
-    and the pass stops once it is full.
-    """
+    """Indices of the rows of ``A``, in order, independent of those kept
+    before them: Gram-Schmidt, projecting twice, keeps a row when what is
+    left of it exceeds ``tol`` times its norm, until the basis of
+    ``min(A.shape)`` vectors is full."""
     Q = np.zeros((A.shape[1], min(A.shape)))
     kept = []
     for i, a in enumerate(A):
@@ -494,27 +487,30 @@ def _independent(A, tol):
 
 
 def _identifiable(X):
-    """Columns of ``X`` that, beside the intercepts, have full column rank.
-
-    ``_independent`` on the centered, unit-norm columns, in column order,
-    whatever their units: a column that centers to roundoff is cut, and of
-    duplicates or a block summing to a constant, the last column is cut."""
-    keep = np.zeros(X.shape[1], dtype=bool)
-    Xc = X - X.mean(axis=0)
-    norms = np.linalg.norm(Xc, axis=0)
-    live = np.flatnonzero(norms > 1e-12 * np.linalg.norm(X, axis=0))
-    keep[live[_independent((Xc[:, live] / norms[live]).T, 1e-9)]] = True
-    return keep
+    """Columns of ``X`` (centered or not) with full rank beside the
+    intercepts, in any units: in order, each of which more than 1e-9 of its
+    norm is left after the constant direction and the columns kept before
+    (``_independent``).  All are kept, with no pass, when the Gram bordered
+    by the constant direction has an unflagged ``cholesky`` factor whose
+    unit-diagonal form has ``||U^-1||_F^2 <= 1e12``: no singular value of
+    the unit-norm columns is below 1e-6 (one pivot can be roundoff)."""
+    A = np.vstack([np.full(X.shape[0], X.shape[0] ** -0.5), X.T])
+    G = A @ A.T
+    U, flagged = cholesky(G)
+    W = np.sqrt(G.diagonal())[:, None] * np.linalg.inv(U)
+    if not flagged and np.sum(W * W) <= 1e12:
+        return np.ones(X.shape[1], dtype=bool)
+    return np.isin(np.arange(1, A.shape[0]), _independent(A, 1e-9))
 
 
 @dataclass
 class Problem:
-    """A fit's problem on the columns it moves, as ``prepare`` builds it.
-
-    ``cols`` are the columns active under the penalty, not constant, and
-    identifiable (``prepare``), ``X`` is ``data.X[:, cols]``, ``weights``
+    """A fit's problem as ``prepare`` builds it: ``cols`` are the columns
+    the fit moves (active under the penalty, not constant, identifiable),
+    ``shift`` their means (or 0), ``X`` is ``data.X[:, cols] - shift``,
+    ``scale`` its column norms (1 where one underflows to 0), ``weights``
     their adaptive weights, and ``options`` has its defaults filled in.
-    """
+    Every solver fits ``X``."""
 
     data: Dataset
     levels: QuantileLevels
@@ -523,12 +519,14 @@ class Problem:
     cols: np.ndarray
     X: np.ndarray
     weights: np.ndarray
+    shift: np.ndarray
+    scale: np.ndarray
 
     def result(self, algorithm, intercepts, beta, iterations, converged,
                diagnostics) -> FitResult:
-        """The ``FitResult`` at ``intercepts`` and ``beta`` on ``cols``, every
-        other coefficient zero, with its ``objective``."""
-        intercepts = np.array(intercepts, dtype=float)
+        """The ``FitResult`` at ``intercepts`` and ``beta`` of ``X``: those of
+        ``data.X``, ``intercepts - shift' beta`` and 0 off ``cols``."""
+        intercepts = np.asarray(intercepts, dtype=float) - self.shift @ beta
         coefficients = np.zeros(self.data.p)
         coefficients[self.cols] = beta
         obj = objective(self.data, intercepts, coefficients, self.levels,
@@ -542,16 +540,27 @@ def prepare(data: Dataset, levels: QuantileLevels,
             options: SolverOptions | None = None) -> Problem:
     """The ``Problem`` of a fit, unpenalized and with default options when
     those are not given; ``ValueError`` if the pilot's length is not p.  A
-    constant column (all zero, or an intercept column of ones) is left out:
-    the intercepts absorb it, so 0 on it is optimal at any penalty.  Below n
-    columns, the zero-weight ones (all, unpenalized) are cut to their
+    constant column (spread at most 1e-12 of its largest entry) is left out:
+    the intercepts absorb it, so 0 on it is optimal at any penalty.  The
+    rest are centered, save on an unpenalized fit that keeps n columns or
+    more (its least-L2 interpolant is the raw columns').  Below n columns,
+    the zero-weight ones (all, unpenalized) are cut to their
     ``_identifiable`` set, which spans the rest: 0 on those is optimal too."""
     penalty = PenaltySpec.none() if penalty is None else penalty
     options = SolverOptions() if options is None else options
     weights, active = penalty_terms(penalty, data.p)
-    cols = np.flatnonzero(active & (np.ptp(data.X, axis=0) > 0.0))
-    free = cols[penalty.lam * weights[cols] == 0.0]
-    if free.size and cols.size < data.n:
-        cols = np.setdiff1d(cols, free[~_identifiable(data.X[:, free])])
-    return Problem(data, levels, penalty, options, cols, data.X[:, cols],
-                   weights[cols])
+    hi, lo = data.X.max(axis=0), data.X.min(axis=0)
+    cols = np.flatnonzero(active & (hi - lo > 1e-12 * np.maximum(hi, -lo)))
+    free = penalty.lam * weights[cols] == 0.0
+    X = data.X[:, cols]
+    wide = cols.size >= data.n
+    shift = np.zeros(cols.size) if wide and free.all() else X.mean(axis=0)
+    X -= shift
+    scale = np.linalg.norm(X, axis=0)
+    scale[scale == 0.0] = 1.0
+    if free.any() and not wide:
+        keep = ~free
+        keep[free] = _identifiable(X[:, free])
+        cols, X, shift, scale = cols[keep], X[:, keep], shift[keep], scale[keep]
+    return Problem(data, levels, penalty, options, cols, X, weights[cols],
+                   shift, scale)

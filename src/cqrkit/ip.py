@@ -15,22 +15,20 @@ predictor-corrector started from ``a = u o (1 - tau*)`` and the
 least-squares coefficients.  The multipliers ``z`` of ``a >= 0`` and ``w``
 of ``a <= u`` split the residual, ``y* - X* theta = w - z``.
 
-The program is solved on unit-norm columns of ``X``.  Each iteration
-factors one (K + p)-square Newton matrix ``X*' diag(q) X*``, assembled
-blockwise from ``X`` by ``core.stacked_gram``, and reuses it for the
-predictor and the corrector, by ``core.cholesky``.  From the first one it
-judges singular (p >= n: below n, ``core.prepare`` cuts dependent columns),
-each step is the minimum-norm least-squares solution of the same system.
-Its right-hand side lies in the range of the matrix, so that step solves
-the system exactly, and every step stays in the row space of the scaled
-``X*``: at p >= n the fit is the least-L2-norm interpolant on the
-unit-norm columns, as the least-squares start is, and it moves exactly
-with a rescaling of the columns.
+The program is solved on the columns of ``core.prepare`` over their
+``scale``: unit-norm, and centered (raw at p >= n unpenalized).  Each
+iteration factors one (K + p)-square Newton matrix ``X*' diag(q) X*``
+(``core.stacked_gram``) by ``core.cholesky``, for the predictor and the
+corrector.  From the first one it judges singular (p >= n), each step is
+the minimum-norm least-squares solution of the same system, which its
+right-hand side, in the matrix's range, solves exactly.  So at p >= n the
+fit is the least-L2-norm interpolant on the unit-norm columns, as the
+least-squares start is, and moves exactly with a rescaling of them.
 
 The adaptive lasso enters as rows (quantreg's ``rq.fit.lasso``): each
 active coefficient ``j`` adds the row ``e_j`` with response 0, level 1/2
 and weight ``2 lam w_j``, whose check loss is ``lam w_j |beta_j|`` (on
-the unit-norm columns the row is ``e_j / ||x_j||``).  Only the columns of
+the unit-norm columns the row is ``e_j / scale_j``).  Only the columns of
 ``core.prepare`` enter the design; the rest are pinned at zero.
 
 The fit converges when the duality gap ``a'z + (u - a)'w`` is at most
@@ -90,12 +88,9 @@ def fit_ip(data: Dataset, levels: QuantileLevels,
     prob = prepare(data, levels, penalty, options)
     n, K = data.n, levels.K
     nK = n * K
-    # unit-norm columns, so that no least-squares step sees column units:
-    # column j of X/scale carries coefficient scale_j beta_j.  Its penalty
-    # row, e_j / scale_j, still reads beta_j, so the penalty rows and their
-    # duals are those of the unscaled program.
-    scale = np.linalg.norm(prob.X, axis=0)
-    X = prob.X / scale
+    # unit-norm columns: column j of X carries scale_j beta_j, and its
+    # penalty row e_j / scale_j reads beta_j, as in the unscaled program
+    scale, X = prob.scale, prob.X / prob.scale
     pen = 2.0 * prob.penalty.lam * prob.weights
     rows = np.nonzero(pen > 0.0)[0]       # active columns with a penalty row
     inv = 1.0 / scale[rows]

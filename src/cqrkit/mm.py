@@ -68,7 +68,6 @@ def fit_mm(data: Dataset, levels: QuantileLevels,
     """
     prob = prepare(data, levels, penalty, options)
     opts, X, Y, K = prob.options, prob.X, data.Y, levels.K
-    Xr = np.ascontiguousarray(X)          # row-major, for the fitted values
     taus, eps, d = levels.taus, opts.eps_mm, K + prob.cols.size
     penalized, lam, weights = (prob.penalty.regularized, prob.penalty.lam,
                                prob.weights)
@@ -80,7 +79,7 @@ def fit_mm(data: Dataset, levels: QuantileLevels,
         # start from the pilot: a zero start would sit at the penalty's
         # curvature singularity and freeze every coordinate immediately
         theta[K:] = prob.penalty.pilot[prob.cols]
-    R = Y[None, :] - stacked_fit(Xr, theta)   # residuals r_ik, (K, n)
+    R = Y[None, :] - stacked_fit(X, theta)   # residuals r_ik, (K, n)
 
     def surrogate_objective(th, residuals):
         val = fidelity(residuals, taus)
@@ -103,7 +102,7 @@ def fit_mm(data: Dataset, levels: QuantileLevels,
             if np.any(small):
                 frozen |= small
                 theta[K:][small] = 0.0
-                R = Y[None, :] - stacked_fit(Xr, theta)
+                R = Y[None, :] - stacked_fit(X, theta)
                 base = None
 
         if base is None:
@@ -125,7 +124,7 @@ def fit_mm(data: Dataset, levels: QuantileLevels,
         theta_new = np.zeros(d)
         theta_new[:K] = sol[:K]
         theta_new[K:][free] = sol[K:]
-        R_new = Y[None, :] - stacked_fit(Xr, theta_new)
+        R_new = Y[None, :] - stacked_fit(X, theta_new)
 
         value = surrogate_objective(theta_new, R_new)
         max_violation = max(max_violation, value - base)

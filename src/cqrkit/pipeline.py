@@ -7,27 +7,26 @@ coefficients become the adaptive weights ``1 / pilot_j**2`` and are kept in
 the final result's diagnostics under ``"pilot"``.  A column that
 ``core.prepare`` cuts as dependent has pilot 0, so no final fit moves it.
 
-At ``p >= n`` the unregularized minimizer is not unique: every interpolant
-attains objective 0, so it says nothing about which coefficients matter
-(ADMM and MM would return the least-L2-norm interpolant on the columns of
-``core.prepare``, which shrinks the truth by about ``n / p``, IP the same
-on unit-norm columns, and CD an interpolating vertex).  The pilot is then
-a forward stepwise selection (forward regression, Wang 2009) stopped by a
-max-score test: starting from the intercepts alone, each step refits the
+At ``p >= n`` every interpolant attains objective 0, so the unregularized
+minimizer says nothing about which coefficients matter (ADMM and MM would
+return the least-L2-norm interpolant on the raw columns of
+``core.prepare``, shrinking the truth by about ``n / p``, IP the same on
+unit-norm columns, and CD an interpolating vertex).  The pilot is then a
+forward stepwise selection (forward regression, Wang 2009) stopped by a
+max-score test: from the intercepts alone, each step refits the
 unregularized model on the selected columns with ``pilot_algorithm`` and
-adds the column of ``core.prepare`` (never a constant one) with the
-largest rank-score statistic on its centered values ``c_j = x_j - mean(x_j)``
+adds the column of ``core.prepare`` (never a constant one, and raw at
+p >= n) with the largest rank-score statistic on its centered values ``c_j``
 
     |c_j' psi| / sqrt(V * c_j' c_j),   psi_i = sum_k (tau_k - 1{r_ik < 0}),
 
-while that statistic exceeds ``Phi^-1(1 - 0.1 / (2p))``.  With the
-intercepts fitted ``psi`` sums to about zero, so a column's mean would only
-add to its norm.  ``V`` is the variance of ``psi_i`` at the true
-coefficients, so the threshold is the familywise 0.1-level Bonferroni
-bound on the largest null statistic, the pivotal level of Belloni &
-Chernozhukov (2011).  The pilot is the final refit, exactly zero off the
-selected columns.  ``pilot`` runs this stage alone, so that several
-final-stage fits can share one pilot.
+while that exceeds ``Phi^-1(1 - 0.1 / (2p))``.  With the intercepts fitted
+``psi`` sums to about zero, so a column's mean would only add to its norm.
+``V`` is the variance of ``psi_i`` at the true coefficients, so the
+threshold is the familywise 0.1-level Bonferroni bound on the largest null
+statistic, the pivotal level of Belloni & Chernozhukov (2011).  The pilot
+is the final refit, exactly zero off the selected columns.  ``pilot`` runs
+this stage alone, so that several final-stage fits can share one pilot.
 """
 
 from __future__ import annotations

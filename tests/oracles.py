@@ -13,7 +13,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from cqrkit import Dataset, QuantileLevels, check_loss, sample_quantile
 from cqrkit.core import (
     _soft_threshold,
-    penalty_terms,
+    prepare,
     stacked_fit,
     stacked_gram,
     stacked_tdot,
@@ -193,41 +193,46 @@ def majorizer_value(r, r_prev, tau, eps):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def admm_reference(data: Dataset, levels: QuantileLevels, penalty, options,
-                   cols=None):
+def admm_display(data: Dataset, levels: QuantileLevels, penalty=None):
+    """The prepared problem of an ADMM fit (``core.prepare``) and the data
+    of its stopping display: the prepared columns where the fit moves them,
+    the raw ones elsewhere.  Returns ``(problem, display)``."""
+    prob = prepare(data, levels, penalty)
+    X = data.X.copy()
+    X[:, prob.cols] = prob.X
+    return prob, Dataset(X, data.Y)
+
+
+def admm_reference(data: Dataset, levels: QuantileLevels, penalty, options):
     """``fit_admm``'s iteration in its unclipped form, every quantity every time.
 
     A plain transcription of the ADMM loop over the data rows and the
     penalty rows (one row ``-s_j e_j'`` with response 0 per live penalized
-    column, ``s_j`` its centered norm or 1).  It takes the data rows' prox as
-    a shifted soft threshold and the penalty rows' as the soft threshold at
+    column, ``s_j`` its ``core.prepare`` scale), on the prepared problem and
+    display of ``admm_display``.  It takes the data rows' prox as a shifted
+    soft threshold and the penalty rows' as the soft threshold at
     ``lam w_j / (rho s_j)``, and forms the right-hand side, the primal and
     dual residuals, ``A' u``, both tolerances and both norms
     (``np.linalg.norm``) from full arrays on every iteration.  It solves
     with ``cho_solve`` on ``G + diag(0_K, s^2)``, the Gram of the live
-    columns (all of them when unpenalized, or those of ``cols``).  Returns a
-    dict of the final iterate (``theta`` over all K + p coordinates, 0 on
-    the columns ``cols`` leaves out), the reported
-    ``coefficients`` (``gamma_j / s_j`` on the penalty rows), the penalty
-    rows' ``gamma``, ``v`` and ``gamma_prev``, the four stopping figures,
-    ``iterations``, ``converged`` and ``ridge``.
+    columns.  Returns a dict of the final iterate (``theta`` over all K + p
+    coordinates in the prepared columns, 0 on the columns ``prepare``
+    leaves out), the reported ``coefficients`` (``gamma_j / s_j`` on the
+    penalty rows) and ``intercepts`` (mapped back to the raw columns), the
+    penalty rows' ``gamma``, ``v`` and ``gamma_prev``, the four stopping
+    figures, ``iterations``, ``converged`` and ``ridge``.
     """
-    X, Y = data.X, data.Y
+    prob, display = admm_display(data, levels, penalty)
+    X, Y = display.X, data.Y
     n, p, K = data.n, data.p, levels.K
     rho, d = options.rho, K + p
-    weights, active = penalty_terms(penalty, p)
-    cols = np.arange(p) if cols is None else np.asarray(cols)
-    s = np.zeros(0)
-    if penalty.regularized:
-        cols = np.flatnonzero(active & (np.abs(X).sum(axis=0) > 0.0))
-        s = np.linalg.norm(X[:, cols] - X[:, cols].mean(axis=0), axis=0)
-        s[s == 0.0] = 1.0
+    cols, X_live = prob.cols, prob.X
+    s = prob.scale if penalty.regularized else np.zeros(0)
     # the penalized coordinates: live positions K..K+m-1, all of the live
     # columns when penalized and none otherwise
     m = s.size
     pen = K + cols[:m]
-    thresh = penalty.lam * weights[cols[:m]] / (rho * s)
-    X_live = X[:, cols]
+    thresh = penalty.lam * prob.weights[:m] / (rho * s)
     G = stacked_gram(X_live, np.ones((K, n)))
     G[K:K + m, K:K + m] += np.diag(s ** 2)
     ridge = False
@@ -277,7 +282,9 @@ def admm_reference(data: Dataset, levels: QuantileLevels, penalty, options,
     full[np.concatenate([np.arange(K), K + cols])] = theta
     coefficients = full[K:].copy()
     coefficients[cols[:m]] = gamma / s
+    intercepts = theta[:K] - prob.shift @ coefficients[cols]
     return {"theta": full, "coefficients": coefficients,
+            "intercepts": intercepts,
             "r": r.ravel(), "u": u.ravel(),
             "r_prev": r_prev.ravel(), "gamma": gamma, "v": v,
             "gamma_prev": gamma_prev, "iterations": iterations,

@@ -30,7 +30,6 @@ from cqrkit import (
     QuantileLevels,
     SimConfig,
     SolverOptions,
-    adaptive_weights,
     fit_admm,
     fit_cd,
     fit_ip,
@@ -38,31 +37,33 @@ from cqrkit import (
     objective,
     run_experiment,
 )
-from oracles import qr_exact
+from oracles import admm_display, qr_exact
 
 # ---------------------------------------------------------------------------
 # collectors feeding the audit criteria (6-8)
 
 MM_AUDIT = []    # (context, max surrogate-descent violation)
 CD_AUDIT = []    # (context, max objective increase over accepted updates)
-ADMM_AUDIT = []  # (context, data, levels, options, pilot, AdmmState) for converged fits
+ADMM_AUDIT = []  # (context, data, levels, options, penalty, AdmmState) for converged fits
 
 
-def _record(context, data, levels, options, result):
+def _record(context, data, levels, options, result, lam=None):
     diag = result.diagnostics
     if result.algorithm == "mm":
         MM_AUDIT.append((context, float(diag["max_descent_violation"])))
     elif result.algorithm == "cd":
         CD_AUDIT.append((context, float(diag["max_objective_increase"])))
     elif result.algorithm == "admm" and result.converged:
+        penalty = (None if lam is None
+                   else PenaltySpec.adaptive_lasso(lam, diag["pilot"]))
         ADMM_AUDIT.append((context, data, levels, options or SolverOptions(),
-                           diag.get("pilot"), diag["state"]))
+                           penalty, diag["state"]))
 
 
 def _hook(prefix):
     def on_fit(tag, rep, request, result):
         _record(f"{prefix}/{tag}/rep{rep}", request.data, request.levels,
-                request.options, result)
+                request.options, result, request.lam)
     return on_fit
 
 
@@ -286,14 +287,16 @@ def test_07_cd_monotonicity_audit(verdict):
     )
 
 
-def _admm_stopping_holds(data, levels, opts, pilot, state):
+def _admm_stopping_holds(data, levels, opts, penalty, state):
     """Recompute the primal/dual residual test from the returned state.
 
-    A penalized fit (``pilot`` given) has one penalty row ``-s_j e_j'`` per
-    active, nonconstant column, ``s_j`` its centered norm (1 where that is 0),
-    recomputed here from the data and the pilot.
+    The state is in the columns of ``core.prepare``: the stacked design has
+    the prepared columns where the fit moves them and the raw ones
+    elsewhere, and a penalized fit (``penalty`` given) has one penalty row
+    ``-s_j e_j'`` per prepared column, ``s_j`` its scale.
     """
-    X, Y = data.X, data.Y
+    prob, display = admm_display(data, levels, penalty)
+    X, Y = display.X, data.Y
     K = levels.K
     n = data.n
     theta = state.beta
@@ -301,13 +304,9 @@ def _admm_stopping_holds(data, levels, opts, pilot, state):
     r_prev = state.r_prev.reshape(K, n)
     u = state.u.reshape(K, n)
     rho = opts.rho
-    cols = np.zeros(0, dtype=int)
-    if pilot is not None:
-        _, active = adaptive_weights(pilot)
-        cols = np.flatnonzero(active & (np.ptp(X, axis=0) > 0.0))
-    Xc = X[:, cols] - X[:, cols].mean(axis=0)
-    s = np.sqrt(np.sum(Xc ** 2, axis=0))
-    s[s == 0.0] = 1.0
+    cols, s = prob.cols, prob.scale
+    if penalty is None:
+        cols, s = cols[:0], s[:0]
     s_theta = s * theta[K + cols]
 
     Xb = X @ theta[K:]
@@ -330,8 +329,8 @@ def _admm_stopping_holds(data, levels, opts, pilot, state):
 
 
 def test_08_admm_stopping_audit(verdict):
-    unsound = [ctx for ctx, data, levels, opts, pilot, state in ADMM_AUDIT
-               if not _admm_stopping_holds(data, levels, opts, pilot, state)]
+    unsound = [ctx for ctx, data, levels, opts, penalty, state in ADMM_AUDIT
+               if not _admm_stopping_holds(data, levels, opts, penalty, state)]
     ok = bool(ADMM_AUDIT) and not unsound
     verdict(
         "8 ADMM stopping soundness on every converged fit",

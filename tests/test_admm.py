@@ -14,10 +14,11 @@ from cqrkit import (
     sample_quantile,
 )
 from cqrkit.admm import fit_admm
-from cqrkit.core import penalty_terms, stacked_gram
+from cqrkit.core import stacked_gram
 from cqrkit.simlab import default_lambda
 
 from oracles import (
+    admm_display,
     admm_reference,
     check_loss_scalar,
     penalized_qr_1d_exact,
@@ -174,7 +175,7 @@ def test_first_iteration_matches_stacked_formulas():
     res = fit_admm(data, levels, options=opts)
     state = res.diagnostics["state"]
 
-    Xs, Ys, taus = stack_composite(data, levels)
+    Xs, Ys, taus = stack_composite(admm_display(data, levels)[1], levels)
     rho = opts.rho
     c = Ys.copy()
     shifted = c - (2.0 * taus - 1.0) / (2.0 * rho)
@@ -187,25 +188,22 @@ def test_first_iteration_matches_stacked_formulas():
 
 
 def _penalty_rows(data, levels, penalty):
-    """The penalty rows ``-s_j e_j'`` of the stacked design, from the data
-    and the pilot: one per active, nonconstant column, ``s_j`` its centered
-    norm (1 where that is 0).  Returns an (m, K + p) array."""
+    """The penalty rows ``-s_j e_j'`` of the stacked design, one per column
+    of ``core.prepare`` under a penalty, ``s_j`` its scale.  Returns an
+    (m, K + p) array."""
     K, p = levels.K, data.p
     if penalty is None or not penalty.regularized:
         return np.zeros((0, K + p))
-    _, active = penalty_terms(penalty, p)
-    cols = [j for j in range(p) if active[j] and np.ptp(data.X[:, j]) > 0.0]
-    rows = np.zeros((len(cols), K + p))
-    for i, j in enumerate(cols):
-        s = np.linalg.norm(data.X[:, j] - np.mean(data.X[:, j]))
-        rows[i, K + j] = -(s if s > 0.0 else 1.0)
+    prob = admm_display(data, levels, penalty)[0]
+    rows = np.zeros((prob.cols.size, K + p))
+    rows[np.arange(prob.cols.size), K + prob.cols] = -prob.scale
     return rows
 
 
 def _direct_stopping(state, data, levels, opts, penalty=None):
     """Independent transcription of the stopping display, over the data
     rows and the penalty rows of the materialized stacked design."""
-    Xs, Ys, _ = stack_composite(data, levels)
+    Xs, Ys, _ = stack_composite(admm_display(data, levels, penalty)[1], levels)
     P = _penalty_rows(data, levels, penalty)
     A = np.vstack([Xs, P])
     b = np.concatenate([Ys, np.zeros(len(P))])
@@ -313,8 +311,7 @@ def test_fit_matches_reference_loop_byte_for_byte(shape, penalized, max_iter):
     data, levels, pen = _bytes_case(shape, penalized)
     opts = SolverOptions(max_iter=max_iter)
     res = fit_admm(data, levels, pen, opts)
-    cols = [0, 1] if shape == "dup" and not penalized else None
-    ref = admm_reference(data, levels, pen, opts, cols)
+    ref = admm_reference(data, levels, pen, opts)
     K = levels.K
     state = res.diagnostics["state"]
     assert res.iterations == ref["iterations"] == state.iteration
@@ -322,7 +319,10 @@ def test_fit_matches_reference_loop_byte_for_byte(shape, penalized, max_iter):
     assert res.diagnostics["ridge"] == ref["ridge"]
     tol = 1e-6 if ref["ridge"] else 1e-12
     assert _close(state.beta, ref["theta"], tol)
-    assert np.array_equal(res.intercepts, state.beta[:K])
+    prob = admm_display(data, levels, pen)[0]
+    assert np.array_equal(res.intercepts, state.beta[:K]
+                          - prob.shift @ res.coefficients[prob.cols])
+    assert _close(res.intercepts, ref["intercepts"], tol)
     for name in ("r", "u", "r_prev", "gamma", "v", "gamma_prev"):
         assert getattr(state, name).shape == ref[name].shape
         assert _close(getattr(state, name), ref[name], tol)
@@ -395,7 +395,7 @@ def test_fit_matches_reference_loop_at_benchmark_sizes(case):
     assert res.converged and ref["converged"]
     assert res.iterations == ref["iterations"]
     K = levels.K
-    ref_obj = objective(data, ref["theta"][:K], ref["coefficients"], levels, pen)
+    ref_obj = objective(data, ref["intercepts"], ref["coefficients"], levels, pen)
     assert res.objective == pytest.approx(ref_obj, rel=1e-12)
 
 

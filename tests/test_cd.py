@@ -21,6 +21,7 @@ from cqrkit import cd
 from cqrkit.cd import (
     _coordinate_step,
     _identifiable,
+    _independent,
     _intercept_step,
     _simplex_finish,
     fit_cd,
@@ -462,6 +463,43 @@ def test_identifiable_keeps_a_unit_free_spanning_full_rank_set(kind, cut):
     assert np.linalg.matrix_rank(np.column_stack([kept, X[:, ~keep]])) == rank
     rescaled = X * np.logspace(-6, 8, 5)
     np.testing.assert_array_equal(_identifiable(rescaled), keep)
+
+
+def test_identifiable_shortcut_keeps_what_gram_schmidt_keeps():
+    # ``_identifiable`` skips its Gram-Schmidt pass when the Cholesky factor
+    # of the Gram finds full rank; on centered columns with scaled copies,
+    # near-duplicates (residual 1e-7 of the norm), one-hot blocks, offsets
+    # and linear combinations it must keep exactly what the pass keeps.
+    # The last kind is a combination that lies mostly along a nearly
+    # dependent column's residual: its pivot is roundoff above the flag, so
+    # an unflagged factor alone would keep it
+    rng = np.random.default_rng(2024)
+    outcomes = set()
+    for _ in range(120):
+        n, p = int(rng.integers(8, 120)), int(rng.integers(3, 8))
+        X = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-3, 3, p)
+        j, k, l = rng.choice(p, 3, replace=False)
+        kind = rng.integers(0, 7)
+        if kind == 0:
+            X[:, j] = X[:, k] * rng.uniform(-3, 3)
+        elif kind == 1:
+            e = rng.standard_normal(n)
+            X[:, j] = X[:, k] + 1e-7 * np.linalg.norm(X[:, k]) * e / np.linalg.norm(e)
+        elif kind == 2:
+            X[:, :3] = np.eye(3)[rng.integers(0, 3, n)]
+        elif kind == 3:
+            X[:, j] += 10.0 ** rng.uniform(2, 8)
+        elif kind == 4:
+            X[:, j] = X[:, k] - 2.0 * X[:, l]
+        elif kind == 5:
+            X[:, j] = X[:, k] + 5e-4 * X[:, k].std() * rng.standard_normal(n)
+            X[:, l] = 2.0 * X[:, j] - 1.98 * X[:, k]
+        Xc = X - X.mean(axis=0)
+        A = np.vstack([np.full(n, n ** -0.5), Xc.T])
+        expected = np.isin(np.arange(1, p + 1), _independent(A, 1e-9))
+        np.testing.assert_array_equal(_identifiable(Xc), expected)
+        outcomes.add(bool(expected.all()))
+    assert outcomes == {False, True}
 
 
 def test_simplex_finish_on_a_dependent_design_is_degenerate():

@@ -6,7 +6,9 @@ and land on the interior point's objective to criterion 1's tolerance.
 All-zero and constant columns never reach a solver: ``core.prepare``
 leaves them out, and every solver must then converge with 0 on them.
 Below n columns it also cuts an unpenalized fit's dependent columns, so
-every solver converges there with 0 on the same cut column.
+every solver converges there with 0 on the same cut column.  It centers
+the columns, so an offset column neither stalls a solver nor moves any
+answer but the intercepts.
 """
 
 import numpy as np
@@ -136,3 +138,61 @@ def test_constant_column_is_left_out_of_every_fit(value, penalized, K):
         assert not fit.diagnostics.get("ridge", False), tag
         assert abs(fit.objective - best.objective) <= GAP_TOL * best.objective, (
             tag, fit.objective, best.objective)
+
+
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("c", [1e4, 1e6, 1e8])
+def test_every_solver_converges_beside_an_offset_column(c, K):
+    # column 2 is offset by c and the response by -0.6 c, so y stays near
+    # unit scale: without centering the offset column swamps the
+    # intercepts' Gram, and ADMM ran to its cap while MM and IP reported
+    # convergence far above the optimum.  Every fit must converge within
+    # criterion 1's tolerance of CD's certified optimum
+    levels = QuantileLevels.single(0.3) if K == 1 else QuantileLevels.grid(K)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((200, 6))
+        X[:, 2] += c
+        y = (1 + X[:, :4] @ np.array([1.0, -0.8, 0.6, 0.9]) - 0.6 * c
+             + rng.standard_normal(200))
+        data = Dataset(X, y)
+        best = SOLVERS["cd"](data, levels)
+        assert best.converged, seed
+        for tag, fitter in SOLVERS.items():
+            fit = fitter(data, levels)
+            assert fit.converged, (tag, seed)
+            assert abs(fit.objective - best.objective) <= GAP_TOL * best.objective, (
+                tag, seed, fit.objective, best.objective)
+
+
+#: column offsets of the shift-equivariance cases
+SHIFT = np.array([1e2, -1e4, 1e6, 0.5])
+#: each solver's tolerance there, on the coefficients and, times
+#: ``1 + sum|SHIFT|``, on the intercepts.  Measured largest deviations over
+#: the four cases: ADMM 1.5e-10 and 3.1e-11, CD and IP 3.1e-11 and 2.1e-11.
+#: MM stops on a 1e-4 parameter change, and the roundoff of centering moves
+#: where it stops: 8.9e-5 and 8.8e-5
+SHIFT_TOL = {"admm": 1e-8, "mm": 1e-3, "cd": 1e-9, "ip": 1e-9}
+
+
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("penalized", [False, True])
+def test_column_shift_moves_only_the_intercepts(penalized, K):
+    # Koenker (2005, section 2.2): fitting X + 1 c' instead of X leaves the
+    # coefficients as they are and moves the intercepts by -c' beta
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((200, 4))
+    y = 1 + X @ np.array([1.0, -0.8, 0.6, 0.0]) + rng.standard_normal(200)
+    levels = QuantileLevels.single(0.3) if K == 1 else QuantileLevels.grid(K)
+    penalty = (PenaltySpec.adaptive_lasso(1.0 * K, np.array([1.0, -0.8, 0.6, 0.05]))
+               if penalized else None)
+    for tag, fitter in SOLVERS.items():
+        fit = fitter(Dataset(X, y), levels, penalty)
+        moved = fitter(Dataset(X + SHIFT, y), levels, penalty)
+        assert fit.converged and moved.converged, tag
+        tol = SHIFT_TOL[tag]
+        assert_allclose(moved.coefficients, fit.coefficients, rtol=0.0,
+                        atol=tol, err_msg=tag)
+        assert_allclose(moved.intercepts, fit.intercepts - SHIFT @ fit.coefficients,
+                        rtol=0.0, atol=tol * (1.0 + np.abs(SHIFT).sum()),
+                        err_msg=tag)

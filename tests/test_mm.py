@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cqrkit import Dataset, PenaltySpec, QuantileLevels, SolverOptions
-from cqrkit.core import fidelity, penalty_terms, stacked_fit
+from cqrkit.core import Problem, fidelity, penalty_terms, prepare, stacked_fit
 from cqrkit.mm import FREEZE_THRESHOLD, fit_mm
 
 from oracles import (
@@ -135,14 +135,18 @@ def test_penalized_freezes_null_coordinate():
     assert abs(res.coefficients[0]) > 0.5
 
 
-def _surrogate(data, levels, pen, eps, theta, frozen):
+def _surrogate(prob, eps, theta, frozen):
     """Smoothed fidelity plus the perturbed penalty over unfrozen coordinates,
-    on residuals formed as the loop forms them."""
-    K = levels.K
-    R = data.Y[None, :] - stacked_fit(data.X, theta)
-    val = fidelity(R, levels.taus)
+    on residuals formed as the loop forms them: ``theta`` holds the
+    intercepts of the prepared columns ``prob.X`` (``core.prepare``) and
+    every coefficient."""
+    K = prob.levels.K
+    R = prob.data.Y[None, :] - stacked_fit(prob.X, np.concatenate(
+        [theta[:K], theta[K:][prob.cols]]))
+    val = fidelity(R, prob.levels.taus)
     val -= 0.5 * eps * np.sum(np.log(eps + np.abs(R)))
-    weights, active = penalty_terms(pen, data.p)
+    pen = prob.penalty
+    weights, active = penalty_terms(pen, prob.data.p)
     live = active & ~frozen
     a = np.abs(theta[K:][live])
     val += pen.lam * np.sum(weights[live] * (a - eps * np.log1p(a / eps)))
@@ -150,10 +154,18 @@ def _surrogate(data, levels, pen, eps, theta, frozen):
 
 
 @pytest.mark.parametrize("K", [1, 3])
-def test_descent_audit_recomputes_base_after_a_freeze(K):
+def test_descent_audit_recomputes_base_after_a_freeze(K, monkeypatch):
     # the loop carries the surrogate value from one iteration to the next;
     # a freeze changes the iterate and the surrogate, so the reference
     # rebuilds iteration t's base from the fit stopped after t - 1 iterations
+    loop = []    # the loop's own intercepts, before ``Problem.result`` maps them
+    result = Problem.result
+
+    def recording(self, algorithm, intercepts, *args):
+        loop.append(np.array(intercepts, dtype=float))
+        return result(self, algorithm, intercepts, *args)
+
+    monkeypatch.setattr(Problem, "result", recording)
     rng = np.random.default_rng(3)
     X = rng.standard_normal((40, 4))
     Y = 1.0 + X @ np.array([1.0, -0.8, 0.0, 0.0]) + 0.5 * rng.standard_normal(40)
@@ -161,6 +173,7 @@ def test_descent_audit_recomputes_base_after_a_freeze(K):
     levels = QuantileLevels.single(0.3) if K == 1 else QuantileLevels.grid(K)
     pen = PenaltySpec.adaptive_lasso(1.0 * K, np.array([1.0, -0.8, 0.02, 0.05]))
     eps = SolverOptions().eps_mm
+    prob = prepare(data, levels, pen)
     _, active = penalty_terms(pen, 4)
     theta = np.zeros(K + 4)
     theta[K:][active] = pen.pilot[active]
@@ -171,11 +184,11 @@ def test_descent_audit_recomputes_base_after_a_freeze(K):
         frozen = frozen | small
         theta[K:][small] = 0.0
         late_freezes += int(small.sum()) if t > 1 else 0
-        base = _surrogate(data, levels, pen, eps, theta, frozen)
+        base = _surrogate(prob, eps, theta, frozen)
         res = fit_mm(data, levels, pen, SolverOptions(max_iter=t))
         assert np.array_equal(res.diagnostics["frozen"], frozen)
-        theta = np.concatenate([res.intercepts, res.coefficients])
-        gains.append(_surrogate(data, levels, pen, eps, theta, frozen) - base)
+        theta = np.concatenate([loop[-1], res.coefficients])
+        gains.append(_surrogate(prob, eps, theta, frozen) - base)
         assert res.diagnostics["max_descent_violation"] == max(gains)
     assert late_freezes > 0
 
@@ -262,4 +275,4 @@ def test_one_hot_block_below_n_is_cut_without_the_ridge():
     assert res.converged
     assert not res.diagnostics["ridge"]
     assert res.coefficients[2] == 0.0
-    assert res.iterations == 166
+    assert res.iterations == 165
